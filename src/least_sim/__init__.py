@@ -35,9 +35,16 @@ from .simulator import (
     Simulation,
     place_nodes,
     run,
-    sweep_phn,
 )
-from .tree import RoutingTree, Violation, nearest
+from .tree import RoutingTree, Violation
+
+
+def __getattr__(name):
+    # imported on use, so that ``python -m least_sim.cli`` loads cli only once
+    if name == "sweep_phn":
+        from .cli import sweep_phn
+        return sweep_phn
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "BS_ID",
@@ -70,7 +77,6 @@ __all__ = [
     "estimate_least",
     "leach_setup",
     "least_setup",
-    "nearest",
     "network_stats",
     "place_nodes",
     "relocate",

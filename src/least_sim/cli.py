@@ -30,7 +30,6 @@ from .simulator import (
     metrics_csv,
     place_nodes,
     run,
-    sweep_phn,
 )
 
 DEFAULT_SWEEP_GRID = (0.01, 0.05, 0.1, 0.2, 0.4, 0.6, 0.9)
@@ -193,35 +192,56 @@ def parse_seeds(spec: str) -> list[int]:
 
 # -- run orchestration -------------------------------------------------
 
-def _run_task(args):
-    protocol, seed, config = args
-    cfg = replace(config, protocol=protocol, seed=seed)
-    rows, summary = run(cfg)
-    return (protocol, seed), rows, summary
-
-
 def _worker_count() -> int:
-    raw = os.environ.get("LEAST_SIM_THREADS", "")
+    """Worker processes from LEAST_SIM_THREADS: unset means 1."""
+    raw = os.environ.get("LEAST_SIM_THREADS", "1")
     try:
-        return max(1, int(raw)) if raw else 1
+        workers = int(raw)
     except ValueError:
-        return 1
+        workers = 0
+    if workers < 1:
+        raise ConfigError(f"LEAST_SIM_THREADS must be an integer >= 1, got {raw!r}")
+    return workers
+
+
+def _fan_out(fn, items) -> list:
+    """``[fn(item) for item in items]``, over the configured worker processes.
+
+    ``pool.map`` returns results in input order, so the output never depends
+    on scheduling.
+    """
+    items = list(items)
+    workers = min(_worker_count(), len(items))
+    if workers <= 1:
+        return [fn(item) for item in items]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, items))
 
 
 def run_many(config: SimConfig, protocols, seeds):
-    """Run every (protocol, seed) pair; results keyed so order never matters."""
-    tasks = [(p, s, config) for p in protocols for s in seeds]
-    workers = min(_worker_count(), len(tasks)) or 1
-    results = {}
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for key, rows, summary in pool.map(_run_task, tasks):
-                results[key] = (rows, summary)
-    else:
-        for task in tasks:
-            key, rows, summary = _run_task(task)
-            results[key] = (rows, summary)
-    return results
+    """Run every (protocol, seed) pair; results keyed by that pair."""
+    keys = [(p, s) for p in protocols for s in seeds]
+    configs = [replace(config, protocol=p, seed=s) for p, s in keys]
+    return dict(zip(keys, _fan_out(run, configs)))
+
+
+def _half_life(config: SimConfig) -> int:
+    """Half-life of one run; the round cap, a lower bound, if never reached."""
+    half = run(config)[1].half_life_round
+    return config.max_rounds if half is None else half
+
+
+def sweep_phn(base_config: SimConfig, values, seeds) -> list[tuple[float, float]]:
+    """Median half-life per host-node probability, over the given seeds."""
+    if not values:
+        raise ValueError("sweep needs at least one value")
+    configs = [
+        replace(base_config, seed=s, params=replace(base_config.params, p_hn=v))
+        for v in values for s in seeds
+    ]
+    halves = _fan_out(_half_life, configs)
+    k = len(seeds)
+    return [(v, float(median(halves[i * k:(i + 1) * k]))) for i, v in enumerate(values)]
 
 
 def write_manifest(out_dir: Path, command: str, config: SimConfig,
@@ -257,16 +277,13 @@ def cmd_simulate(config: SimConfig, seeds, protocols, out_dir) -> list[Path]:
     write_manifest(out, "simulate", config, seeds, protocols)
     results = run_many(config, protocols, seeds)
     written = []
-    for protocol in protocols:
-        for seed in seeds:
-            rows, _ = results[(protocol, seed)]
-            path = out / f"{protocol}_seed{seed}.csv"
-            path.write_text(metrics_csv(rows))
-            written.append(path)
     lines = [SUMMARY_HEADER]
     for protocol in protocols:
         for seed in seeds:
-            _, summary = results[(protocol, seed)]
+            rows, summary = results[(protocol, seed)]
+            path = out / f"{protocol}_seed{seed}.csv"
+            path.write_text(metrics_csv(rows))
+            written.append(path)
             lines.append(_summary_line(protocol, seed, summary))
     summary_path = out / "summary.csv"
     summary_path.write_text("\n".join(lines) + "\n")
@@ -317,36 +334,13 @@ def cmd_compare(config: SimConfig, seeds, out_dir) -> Path:
     return path
 
 
-def _sweep_task(args):
-    value, seed, config = args
-    cfg = replace(config, seed=seed, params=replace(config.params, p_hn=value))
-    _, summary = run(cfg)
-    half = summary.half_life_round
-    return (value, seed), half if half is not None else config.max_rounds
-
-
 def cmd_sweep(config: SimConfig, values, seeds, out_dir) -> Path:
-    """Half-life medians across a host-node probability grid.
-
-    Fans out per (value, seed) when workers are enabled; cells are merged by
-    key, so the CSV matches the serial sweep byte for byte.
-    """
+    """Half-life medians across a host-node probability grid."""
     if not values:
         raise ValueError("sweep needs at least one value")
     out = Path(out_dir)
     write_manifest(out, "sweep", config, seeds, [config.protocol], extra={"p_hn": list(values)})
-    workers = min(_worker_count(), len(values) * len(seeds)) or 1
-    if workers > 1:
-        tasks = [(v, s, config) for v in values for s in seeds]
-        halves = {}
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for key, half in pool.map(_sweep_task, tasks):
-                halves[key] = half
-        rows = [
-            (v, float(median(halves[(v, s)] for s in seeds))) for v in values
-        ]
-    else:
-        rows = sweep_phn(config, values, seeds)
+    rows = sweep_phn(config, values, seeds)
     lines = [SWEEP_HEADER]
     for value, half in rows:
         lines.append(f"{fmt_float(value)},{fmt_float(half)}")
@@ -421,6 +415,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        _worker_count()  # reject a malformed LEAST_SIM_THREADS before any output
         config = load_config(args.config) if args.config else SimConfig()
         seeds = parse_seeds(args.seeds)
         if args.command == "simulate":
@@ -451,3 +446,7 @@ def main(argv=None) -> int:
 
 def entrypoint() -> None:
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    entrypoint()

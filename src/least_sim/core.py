@@ -175,6 +175,28 @@ class Network:
         """Distance between node ids; id 0 is the base station."""
         return self._dist[a][b]
 
+    def nearest(self, candidates: list[int], sources: list[int]) -> list[tuple[int, float]]:
+        """The nearest candidate to each source, as ``(id, distance)`` pairs.
+
+        ``candidates`` come in ascending id order and only a strictly
+        closer one replaces the best so far, so a tie goes to the smaller id.
+        """
+        if not sources:
+            return []
+        if not candidates:
+            raise ValueError("empty candidate set")
+        first, rest = candidates[0], candidates[1:]
+        out = []
+        for src in sources:
+            row = self._dist[src]
+            target, best = first, row[first]
+            for cand in rest:
+                d = row[cand]
+                if d < best:
+                    target, best = cand, d
+            out.append((target, best))
+        return out
+
     def farthest_alive_distance(self, from_id: int) -> float:
         """Distance to the farthest other alive sensor; 0 when there is none."""
         row = self._dist[from_id]
@@ -190,6 +212,3 @@ class Network:
         # dead nodes hold exactly 0.0, so summing the alive ones suffices
         nodes = self.nodes
         return sum(nodes[i].energy for i in self._alive_ids)
-
-    def stats(self, alive_only: bool = True) -> NetworkStats:
-        return network_stats(self.nodes[1:], alive_only=alive_only)

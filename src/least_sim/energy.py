@@ -28,14 +28,13 @@ class EnergyParams:
 
 
 class EnergyLedger:
-    """Per-node cumulative spend plus a setup/steady split per round.
+    """Cumulative spend, split into setup and steady energy, per round and in all.
 
     The ledger only observes charges; conservation (initial total minus
     current total equals the ledger total) is an invariant the tests check.
     """
 
     def __init__(self):
-        self.spent: dict[int, float] = {}
         self.bucket = "setup"
         self.round_setup = 0.0
         self.round_steady = 0.0
@@ -48,7 +47,6 @@ class EnergyLedger:
         self.bucket = "setup"
 
     def record(self, node_id: int, amount: float):
-        self.spent[node_id] = self.spent.get(node_id, 0.0) + amount
         if self.bucket == "setup":
             self.round_setup += amount
             self.setup_total += amount
@@ -57,7 +55,7 @@ class EnergyLedger:
             self.steady_total += amount
 
     def total(self) -> float:
-        return sum(self.spent.values())
+        return self.setup_total + self.steady_total
 
 
 def tx_cost(d: float, packets: int, params: EnergyParams) -> float:
@@ -115,6 +113,6 @@ def apply_messages(net: Network, messages, params: EnergyParams,
                     charge(net, msg.receiver, rx, ledger)
             else:
                 for nid in net.alive_ids():
+                    # only nid itself can die charging nid, so every nid is alive
                     if nid != msg.sender and net.dist(msg.sender, nid) <= msg.tx_distance:
-                        if net.node(nid).alive:
-                            charge(net, nid, rx, ledger)
+                        charge(net, nid, rx, ledger)

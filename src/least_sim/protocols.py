@@ -39,9 +39,6 @@ MESSAGE_KINDS = frozenset(
     }
 )
 
-ROLE_CH = "ch"
-ROLE_HN = "hn"
-
 _MAX_ELECTION_ATTEMPTS = 100
 
 
@@ -132,18 +129,15 @@ def election_threshold(p: float, round_no: int, window: int) -> float:
     return min(p / denom, 1.0)
 
 
-def rotation_eligible(node, role: str, round_no: int, params: ProtocolParams) -> bool:
-    """True iff ``node`` has not held ``role`` within the rotation window.
+def rotation_eligible(ids: list[int], last_rounds: list[int | None], round_no: int,
+                      window: int) -> list[int]:
+    """The ids, in order, that have not held a role within its rotation window.
 
-    A node serving in round r stays ineligible for rounds r+1 .. r+window.
+    ``last_rounds[k]`` is the last round ``ids[k]`` held the role, None if
+    never. A node serving in round r stays ineligible for rounds
+    r+1 .. r+window.
     """
-    if role == ROLE_CH:
-        last, window = node.last_ch_round, params.ch_rotation_window()
-    elif role == ROLE_HN:
-        last, window = node.last_hn_round, params.hn_rotation_window()
-    else:
-        raise ValueError(f"unknown role: {role!r}")
-    return last is None or (round_no - last) > window
+    return [i for i, last in zip(ids, last_rounds) if last is None or round_no - last > window]
 
 
 def _run_election(stream: RandomStream, eligible: list[int], threshold: float,
@@ -172,10 +166,8 @@ def leach_setup(net: Network, params: ProtocolParams, round_no: int,
         raise ValueError("no alive sensors")
     window = params.ch_rotation_window()
     nodes = net.nodes
-    eligible = [  # rotation_eligible, inlined for the per-round hot path
-        i for i in alive
-        if nodes[i].last_ch_round is None or round_no - nodes[i].last_ch_round > window
-    ]
+    last = [nodes[i].last_ch_round for i in alive]
+    eligible = rotation_eligible(alive, last, round_no, window)
     threshold = election_threshold(params.p_ch, round_no, window)
     heads = _run_election(stream, eligible, threshold, eligible if eligible else alive)
     head_set = set(heads)
@@ -187,24 +179,11 @@ def leach_setup(net: Network, params: ProtocolParams, round_no: int,
     heads_sorted = sorted(head_set)
     for h in heads_sorted:
         tree.attach(h, BS_ID)
-        messages.append(
-            ControlMessage(CH_ANNOUNCE, h, net.farthest_alive_distance(h))
-        )
-    dist_rows = net._dist
-    for member in alive:
-        if member in head_set:
-            continue
-        # same rule as tree.nearest: minimum distance, smallest id on ties
-        row = dist_rows[member]
-        target, best = heads_sorted[0], row[heads_sorted[0]]
-        for h in heads_sorted[1:]:
-            d = row[h]
-            if d < best:
-                target, best = h, d
+        messages.append(ControlMessage(CH_ANNOUNCE, h, net.farthest_alive_distance(h)))
+    members = [m for m in alive if m not in head_set]
+    for member, (target, d) in zip(members, net.nearest(heads_sorted, members)):
         tree.attach(member, target)
-        messages.append(
-            ControlMessage(JOIN_REQUEST, member, best, receiver=target)
-        )
+        messages.append(ControlMessage(JOIN_REQUEST, member, d, receiver=target))
     return SetupOutcome(tree, messages)
 
 
@@ -219,11 +198,9 @@ def elect_host_nodes(net: Network, tree: RoutingTree, params: ProtocolParams,
     first_level = set(tree.first_level())
     window = params.hn_rotation_window()
     nodes = net.nodes
-    eligible = [  # rotation_eligible, inlined for the per-round hot path
-        i for i in net.alive_ids()
-        if i not in first_level
-        and (nodes[i].last_hn_round is None or round_no - nodes[i].last_hn_round > window)
-    ]
+    candidates = [i for i in net.alive_ids() if i not in first_level]
+    last = [nodes[i].last_hn_round for i in candidates]
+    eligible = rotation_eligible(candidates, last, round_no, window)
     if not eligible:
         raise ProtocolStallError(
             f"round {round_no}: no rotation-eligible host-node candidates"
@@ -233,9 +210,7 @@ def elect_host_nodes(net: Network, tree: RoutingTree, params: ProtocolParams,
     messages = []
     for h in hosts:
         net.node(h).last_hn_round = round_no
-        messages.append(
-            ControlMessage(HN_ANNOUNCE_TO_BS, h, net.dist(h, BS_ID), receiver=BS_ID)
-        )
+        messages.append(ControlMessage(HN_ANNOUNCE_TO_BS, h, net.dist(h, BS_ID), receiver=BS_ID))
     reach = max((net.dist(BS_ID, f) for f in first_level), default=0.0)
     messages.append(ControlMessage(BS_NOTIFY_FIRST_LEVEL, BS_ID, reach))
     return hosts, messages
@@ -304,29 +279,16 @@ def relocate(net: Network, tree: RoutingTree, first_level, host_nodes, heirs) ->
         raise ValueError(f"host nodes may not be first-level nodes: {sorted(overlap)}")
 
     orphans = {f: tree.detach_subtree_root(f) for f in former}
-    dist_rows = net._dist
     for f in former:
         for heir in heirs.get(f, ()):
             tree.attach(heir, BS_ID)
-
-    def nearest_of(sorted_ids, from_id):
-        # same rule as tree.nearest: minimum distance, smallest id on ties
-        row = dist_rows[from_id]
-        target, best = sorted_ids[0], row[sorted_ids[0]]
-        for cand in sorted_ids[1:]:
-            d = row[cand]
-            if d < best:
-                target, best = cand, d
-        return target
-
     for f in former:
         own_heirs = heirs.get(f, [])
-        heir_set = set(own_heirs)
-        for child in orphans[f]:
-            if child not in heir_set:
-                tree.attach(child, nearest_of(own_heirs, child))
-    for f in former:
-        tree.attach(f, nearest_of(hosts, f))
+        movers = [c for c in orphans[f] if c not in own_heirs]
+        for child, (target, _) in zip(movers, net.nearest(own_heirs, movers)):
+            tree.attach(child, target)
+    for f, (host, _) in zip(former, net.nearest(hosts, former)):
+        tree.attach(f, host)
 
 
 def least_setup(net: Network, tree: RoutingTree | None, params: ProtocolParams,

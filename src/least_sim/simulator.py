@@ -10,8 +10,7 @@ orphans re-homed to the first alive ancestor.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from statistics import median
+from dataclasses import dataclass
 
 from .core import BS_ID, Network, Point, RandomStream, SensorNode
 from .energy import EnergyLedger, EnergyParams, apply_messages, charge, tx_cost
@@ -151,14 +150,14 @@ class Simulation:
 
     def _run_setup(self) -> SetupOutcome:
         cfg = self.config
-        if cfg.protocol == "leach" or self.round <= 1 or self.tree is None:
-            outcome = leach_setup(self.net, cfg.params, self.round, self.stream)
-        else:
-            try:
+        try:
+            if cfg.protocol == "leach":
+                outcome = leach_setup(self.net, cfg.params, self.round, self.stream)
+            else:
                 outcome = least_setup(self.net, self.tree, cfg.params, self.round, self.stream)
-            except ProtocolStallError:
-                # No legal host node this round: keep the repaired map as is.
-                outcome = SetupOutcome(self.tree)
+        except ProtocolStallError:
+            # No legal host node this round: keep the repaired map as is.
+            outcome = SetupOutcome(self.tree)
         self.tree = outcome.tree
         return outcome
 
@@ -209,15 +208,7 @@ class Simulation:
         self.round += 1
         self.ledger.start_round()
         self._prune_dead()
-        for attempt in range(3):
-            outcome = self._run_setup()
-            if outcome.tree.first_level():
-                break
-        else:
-            raise SimulationError(
-                f"round {self.round}: base station isolated after 3 setup attempts"
-            )
-        self.last_outcome = outcome
+        outcome = self.last_outcome = self._run_setup()
         apply_messages(self.net, outcome.messages, self.config.energy, self.ledger)
         width = len(self.tree.first_level())
         depth = self.tree.max_depth()
@@ -264,31 +255,6 @@ class Simulation:
 def run(config: SimConfig) -> tuple[list[RoundMetrics], LifetimeSummary]:
     """Run one simulation to extinction or the round cap."""
     return Simulation(config).run()
-
-
-def sweep_phn(base_config: SimConfig, values, seeds) -> list[tuple[float, float]]:
-    """Median half-life per host-node probability, over the given seeds.
-
-    A run whose half-life is never reached contributes the round cap, a
-    lower bound on the true value.
-    """
-    if not values:
-        raise ValueError("sweep needs at least one value")
-    rows = []
-    for value in values:
-        halves = []
-        for seed in seeds:
-            cfg = replace(
-                base_config, seed=seed, params=replace(base_config.params, p_hn=value)
-            )
-            _, summary = run(cfg)
-            halves.append(
-                summary.half_life_round
-                if summary.half_life_round is not None
-                else base_config.max_rounds
-            )
-        rows.append((value, float(median(halves))))
-    return rows
 
 
 METRICS_HEADER = "round,dead,total_energy_j,setup_energy_j,steady_energy_j,first_level_width,max_depth"

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 from bisect import insort
 from dataclasses import dataclass
 
@@ -152,22 +151,3 @@ class RoutingTree:
     def to_lines(self) -> str:
         """Snapshot as one ``child parent`` line per edge, ascending child id."""
         return "\n".join(f"{c} {self._parent[c]}" for c in sorted(self._parent))
-
-
-def nearest(candidates, from_id: int, positions) -> int:
-    """Candidate id at minimum Euclidean distance; ties go to the smallest id.
-
-    ``positions`` is indexable by node id (0 being the base station).
-    """
-    if not candidates:
-        raise ValueError("empty candidate set")
-    src = positions[from_id]
-    best_id = -1
-    best_d = math.inf
-    for cand in sorted(candidates):
-        p = positions[cand]
-        d = math.hypot(src.x - p.x, src.y - p.y)
-        if d < best_d:  # strict: earlier (smaller) id wins ties
-            best_d = d
-            best_id = cand
-    return best_id

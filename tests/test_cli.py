@@ -1,10 +1,14 @@
 """Config files, experiment commands, CSV outputs, reproducibility."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import least_sim
 from least_sim import SimConfig
 from least_sim.cli import (
     ANALYZE_HEADER,
@@ -234,6 +238,27 @@ def test_main_runtime_error_exit_two(tmp_path):
     target.write_text("not a directory")
     code = main(["sweep", "--seeds", "1", "--p-hn", "0.2", "--out", str(target)])
     assert code == 2
+
+
+@pytest.mark.parametrize("raw", ["two", "1.5", "0", "-3", ""])
+def test_main_bad_thread_count_exit_one(tmp_path, monkeypatch, capsys, raw):
+    monkeypatch.setenv("LEAST_SIM_THREADS", raw)
+    code = main(["simulate", "--seeds", "1", "--out", str(tmp_path / "o")])
+    assert code == 1
+    assert "LEAST_SIM_THREADS" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()  # rejected before the manifest
+
+
+def test_module_entry_point_runs_cli():
+    src = str(Path(least_sim.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-m", "least_sim.cli", "--version"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0
+    assert proc.stdout.strip() == f"least-sim {least_sim.__version__}"
+    assert proc.stderr == ""
 
 
 def test_main_analyze_prints_csv(tmp_path, capsys):

@@ -237,6 +237,17 @@ def test_network_farthest_alive(five_net):
     assert five_net.farthest_alive_distance(1) == pytest.approx(expected)
 
 
+def test_network_nearest_rules():
+    net = make_net([(1, 0), (2, 0), (0, 1)], bs=(0.0, 0.0))
+    assert net.nearest([2], [0]) == [(2, 2.0)]
+    assert net.nearest([2, 3], [0]) == [(3, 1.0)]  # strictly closer wins
+    assert net.nearest([1, 3], [0]) == [(1, 1.0)]  # tie broken by smaller id
+    assert net.nearest([2, 3], [0, 1]) == [(3, 1.0), (2, 1.0)]  # one pair per source
+    assert net.nearest([2], []) == []
+    with pytest.raises(ValueError):
+        net.nearest([], [0])
+
+
 def test_network_farthest_alone():
     net = make_net([(10, 10)])
     assert net.farthest_alive_distance(1) == 0.0

@@ -56,7 +56,7 @@ def test_charge_clamps_and_kills():
     assert net.node(1).energy == 0.0
     assert not net.node(1).alive
     assert net.alive_count() == 0
-    assert ledger.spent[1] == pytest.approx(0.03)
+    assert ledger.total() == pytest.approx(0.03)
 
 
 def test_charge_zero_is_identity():

@@ -5,12 +5,10 @@ import pytest
 
 from least_sim import (
     BS_ID,
-    Point,
     ProtocolParams,
     ProtocolStallError,
     RandomStream,
     RoutingTree,
-    SensorNode,
     SimConfig,
     Simulation,
     elect_heirs,
@@ -33,17 +31,17 @@ def msg_tuples(messages):
 # -- rotation and threshold ------------------------------------------------
 
 def test_rotation_window_five_rounds():
-    params = ProtocolParams(p_hn=0.2)  # window floor(1/0.2) = 5
-    node = SensorNode(id=1, pos=Point(0, 0), energy=1.0, last_hn_round=10)
-    blocked = [r for r in range(11, 20) if not rotation_eligible(node, "hn", r, params)]
+    window = ProtocolParams(p_hn=0.2).hn_rotation_window()  # floor(1/0.2) = 5
+    blocked = [r for r in range(11, 20) if not rotation_eligible([1], [10], r, window)]
     assert blocked == [11, 12, 13, 14, 15]  # ineligible for exactly 5 rounds
+    # one call filters a whole id list, keeping its order
+    assert rotation_eligible([2, 1, 3], [10, None, 4], 12, window) == [1, 3]
 
 
 def test_rotation_vacuous_history():
     params = ProtocolParams()
-    node = SensorNode(id=1, pos=Point(0, 0), energy=1.0)
-    assert rotation_eligible(node, "ch", 1, params)
-    assert rotation_eligible(node, "hn", 1, params)
+    for window in (params.ch_rotation_window(), params.hn_rotation_window()):
+        assert rotation_eligible([1], [None], 1, window) == [1]
 
 
 def test_threshold_cycle():

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from least_sim import Point, RoutingTree, nearest
+from least_sim import RoutingTree
 
 
 def chain_tree(*edges):
@@ -125,15 +125,6 @@ def test_validate_inconsistent_child_list():
 def test_serialization_lines():
     t = chain_tree((3, 0), (1, 0), (2, 3))
     assert t.to_lines() == "1 0\n2 3\n3 0"
-
-
-def test_nearest_rules():
-    pos = {0: Point(0, 0), 2: Point(1, 0), 9: Point(1, 0), 4: Point(2, 0)}
-    assert nearest([4], 0, pos) == 4
-    assert nearest([9, 4], 0, pos) == 9  # strictly closer wins
-    assert nearest([9, 2], 0, pos) == 2  # tie broken by smaller id
-    with pytest.raises(ValueError):
-        nearest([], 0, pos)
 
 
 @settings(max_examples=150, deadline=None)
