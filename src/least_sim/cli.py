@@ -12,7 +12,7 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
+from concurrent import futures
 from dataclasses import replace
 from pathlib import Path
 from statistics import median
@@ -214,7 +214,7 @@ def _fan_out(fn, items) -> list:
     workers = min(_worker_count(), len(items))
     if workers <= 1:
         return [fn(item) for item in items]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    with futures.ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items))
 
 
