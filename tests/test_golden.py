@@ -38,6 +38,9 @@ PROFILES = {
         "p_h = 0.5\nhn_window = 2\nmax_rounds = 300\n"
     ),
     "tiny_extinction": "n = 3\ninitial_energy_j = 0.003\nmax_rounds = 2000\n",
+    # the reference field size: tree-protocol maps several levels deep and
+    # first-level nodes with more than one heir
+    "deep_trees": "n = 100\ninitial_energy_j = 0.004\ntraffic_fraction = 1.0\nmax_rounds = 120\n",
 }
 
 
