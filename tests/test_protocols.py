@@ -5,6 +5,7 @@ import pytest
 
 from least_sim import (
     BS_ID,
+    ControlMessage,
     ProtocolParams,
     ProtocolStallError,
     RandomStream,
@@ -64,6 +65,20 @@ def test_params_validation():
         ProtocolParams(p_ch=0.0)
     with pytest.raises(ValueError):
         ProtocolParams(p_hn=1.5)
+
+
+def test_control_message_contract():
+    msg = ControlMessage("join_request", 3, 12.5)
+    assert (msg.kind, msg.sender, msg.tx_distance) == ("join_request", 3, 12.5)
+    assert (msg.packets, msg.receiver) == (1, None)  # one packet, broadcast
+    msg = ControlMessage("heir_notify_parent", 4, 2.0, packets=0, receiver=7)
+    assert (msg.packets, msg.receiver) == (0, 7)
+    with pytest.raises(ValueError, match="unknown message kind"):
+        ControlMessage("relocate_join", 1, 1.0)
+    with pytest.raises(ValueError, match="negative tx_distance"):
+        ControlMessage("ch_announce", 1, -0.5)
+    with pytest.raises(ValueError, match="negative packet count"):
+        ControlMessage("ch_announce", 1, 1.0, packets=-1)
 
 
 # -- cluster-head setup ------------------------------------------------------

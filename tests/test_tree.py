@@ -98,6 +98,17 @@ def test_max_depth():
     assert chain_tree((1, 0), (2, 1), (3, 2)).max_depth() == 3
 
 
+def test_max_depth_ignores_floating_subtree():
+    t = chain_tree((1, 0), (2, 1), (3, 2), (4, 3), (5, 0))
+    assert t.max_depth() == 4
+    assert t.detach_subtree_root(2) == [3]  # 3 and 4 now float below no one
+    assert t.max_depth() == 1
+    t.attach(2, 5)
+    assert t.max_depth() == 2
+    t.attach(3, 1)  # the floating pair rides along
+    assert t.max_depth() == 3
+
+
 def test_validate_ok_and_coverage():
     t = chain_tree((1, 0), (2, 1))
     assert t.validate([1, 2]) is None
@@ -136,7 +147,15 @@ def test_random_build_detach_reattach_stays_valid(data):
     for node in range(1, n + 1):
         parent = data.draw(st.integers(min_value=0, max_value=node - 1))
         t.attach(node, parent)
-    assert t.validate(range(1, n + 1)) is None
+
+    def assert_sound():
+        assert t.validate(range(1, n + 1)) is None
+        # depth and child order, recomputed from parent walks and sorting
+        assert t.max_depth() == max((t.level(v) for v in t.nodes()), default=0)
+        for p in [0, *t.nodes()]:
+            assert t.children_of(p) == sorted(t.children_of(p))
+
+    assert_sound()
 
     def subtree_of(root):
         seen, frontier = {root}, [root]
@@ -157,6 +176,6 @@ def test_random_build_detach_reattach_stays_valid(data):
             t.attach(orphan, data.draw(st.sampled_from(spots)))
         spots = [i for i in range(n + 1) if i in t and i != victim]
         t.attach(victim, data.draw(st.sampled_from(spots)))
-        assert t.validate(range(1, n + 1)) is None
+        assert_sound()
         for node in range(1, n + 1):
             assert t.level(node) == len(t.path_to_root(node)) - 1
