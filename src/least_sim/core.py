@@ -197,18 +197,16 @@ class Network:
             out.append((target, best))
         return out
 
+    def farthest(self, src: int, ids) -> float:
+        """Largest distance from ``src`` to any of ``ids`` (``src`` itself is at 0); 0 if none."""
+        row = self._dist[src]
+        return max([row[i] for i in ids], default=0.0)
+
     def farthest_alive_distance(self, from_id: int) -> float:
         """Distance to the farthest other alive sensor; 0 when there is none."""
-        row = self._dist[from_id]
-        best = 0.0
-        for nid in self._alive_ids:
-            if nid != from_id:
-                d = row[nid]
-                if d > best:
-                    best = d
-        return best
+        return self.farthest(from_id, self._alive_ids)
 
     def total_energy(self) -> float:
         # dead nodes hold exactly 0.0, so summing the alive ones suffices
         nodes = self.nodes
-        return sum(nodes[i].energy for i in self._alive_ids)
+        return sum([nodes[i].energy for i in self._alive_ids])

@@ -98,21 +98,20 @@ def apply_messages(net: Network, messages, params: EnergyParams,
     When reception pricing is on, the addressee pays rx_cost per packet, and
     broadcasts (receiver None) charge every alive sensor within tx_distance.
     """
-    eps = params.epsilon_amp
+    eps, rx_cost = params.epsilon_amp, params.rx_cost
     nodes = net.nodes
-    for msg in messages:
-        if msg.sender != BS_ID:
-            if not nodes[msg.sender].alive:
+    for _, sender, d, packets, receiver in messages:
+        if sender != BS_ID:
+            if not nodes[sender].alive:
                 continue
-            d = msg.tx_distance
-            charge(net, msg.sender, eps * d * d * msg.packets, ledger)
-        if params.rx_cost > 0.0 and msg.packets > 0:
-            rx = params.rx_cost * msg.packets
-            if msg.receiver is not None:
-                if msg.receiver != BS_ID and net.node(msg.receiver).alive:
-                    charge(net, msg.receiver, rx, ledger)
+            charge(net, sender, eps * d * d * packets, ledger)
+        if rx_cost > 0.0 and packets > 0:
+            rx = rx_cost * packets
+            if receiver is not None:
+                if receiver != BS_ID and net.node(receiver).alive:
+                    charge(net, receiver, rx, ledger)
             else:
                 for nid in net.alive_ids():
                     # only nid itself can die charging nid, so every nid is alive
-                    if nid != msg.sender and net.dist(msg.sender, nid) <= msg.tx_distance:
+                    if nid != sender and net.dist(sender, nid) <= d:
                         charge(net, nid, rx, ledger)

@@ -15,6 +15,7 @@ what was sent, by whom, and over which distance.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from .core import BS_ID, Network, RandomStream, uniform_choice
 from .tree import RoutingTree
@@ -79,28 +80,30 @@ def _default_window(p: float) -> int:
     return int(1.0 / p) if p > 0.0 else 0
 
 
-@dataclass(frozen=True)
-class ControlMessage:
-    """One setup-phase transmission.
+class ControlMessage(tuple):
+    """One setup-phase transmission: ``(kind, sender, tx_distance, packets, receiver)``.
 
     ``receiver`` is the addressee for point-to-point messages and None for
     broadcasts (whose reach is ``tx_distance``). The energy model charges the
     sender epsilon * d^2 per packet; base-station sends are free.
     """
 
-    kind: str
-    sender: int
-    tx_distance: float
-    packets: int = 1
-    receiver: int | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.kind not in MESSAGE_KINDS:
-            raise ValueError(f"unknown message kind: {self.kind}")
-        if self.tx_distance < 0:
-            raise ValueError(f"negative tx_distance: {self.tx_distance}")
-        if self.packets < 0:
-            raise ValueError(f"negative packet count: {self.packets}")
+    def __new__(cls, kind, sender, tx_distance, packets=1, receiver=None):
+        if kind not in MESSAGE_KINDS:
+            raise ValueError(f"unknown message kind: {kind}")
+        if tx_distance < 0:
+            raise ValueError(f"negative tx_distance: {tx_distance}")
+        if packets < 0:
+            raise ValueError(f"negative packet count: {packets}")
+        return tuple.__new__(cls, (kind, sender, tx_distance, packets, receiver))
+
+    kind = property(itemgetter(0))
+    sender = property(itemgetter(1))
+    tx_distance = property(itemgetter(2))
+    packets = property(itemgetter(3))
+    receiver = property(itemgetter(4))
 
 
 @dataclass
@@ -211,8 +214,7 @@ def elect_host_nodes(net: Network, tree: RoutingTree, params: ProtocolParams,
     for h in hosts:
         net.node(h).last_hn_round = round_no
         messages.append(ControlMessage(HN_ANNOUNCE_TO_BS, h, net.dist(h, BS_ID), receiver=BS_ID))
-    reach = max((net.dist(BS_ID, f) for f in first_level), default=0.0)
-    messages.append(ControlMessage(BS_NOTIFY_FIRST_LEVEL, BS_ID, reach))
+    messages.append(ControlMessage(BS_NOTIFY_FIRST_LEVEL, BS_ID, net.farthest(BS_ID, first_level)))
     return hosts, messages
 
 
@@ -237,19 +239,15 @@ def elect_heirs(net: Network, tree: RoutingTree, first_level, params: ProtocolPa
         if not chosen:
             chosen = [uniform_choice(stream, kids)]
         heirs[parent] = chosen
+        to_bs = net.dist(parent, BS_ID)
+        sibling_packets = 1 if len(kids) > 1 else 0
         for heir in chosen:
-            siblings = [c for c in kids if c != heir]
-            messages.append(
-                ControlMessage(HEIR_NOTIFY_PARENT, heir, net.dist(heir, parent), receiver=parent)
-            )
-            messages.append(
-                ControlMessage(HEIR_RELAY_TO_BS, parent, net.dist(parent, BS_ID), receiver=BS_ID)
-            )
-            reach = max((net.dist(heir, s) for s in siblings), default=0.0)
-            messages.append(
-                ControlMessage(
-                    HEIR_ANNOUNCE_SIBLINGS, heir, reach, packets=1 if siblings else 0
-                )
+            # an heir is 0 from itself, so its farthest kid is its farthest sibling
+            messages += (
+                ControlMessage(HEIR_NOTIFY_PARENT, heir, net.dist(heir, parent), receiver=parent),
+                ControlMessage(HEIR_RELAY_TO_BS, parent, to_bs, receiver=BS_ID),
+                ControlMessage(HEIR_ANNOUNCE_SIBLINGS, heir, net.farthest(heir, kids),
+                               packets=sibling_packets),
             )
     return heirs, messages
 

@@ -47,25 +47,30 @@ class RoutingTree:
 
     def attach(self, child: int, parent: int) -> None:
         """Attach a detached node (plus any floating subtree) under ``parent``."""
+        parents = self._parent
         if child == parent:
             raise ValueError(f"node {child} cannot be its own parent")
         if child == BS_ID:
             raise ValueError("the base station cannot be attached")
-        if child in self._parent:
+        if child in parents:
             raise ValueError(f"node {child} is already attached")
-        if parent not in self:
-            raise ValueError(f"unknown parent: {parent}")
-        # Attaching under one's own descendant would close a cycle.
-        cur = parent
-        while cur != BS_ID:
-            if cur == child:
-                raise ValueError(f"attaching {child} under {parent} creates a cycle")
-            nxt = self._parent.get(cur)
-            if nxt is None:
-                break  # parent sits in a floating subtree; its root is not `child`
-            cur = nxt
-        self._parent[child] = parent
-        insort(self._children.setdefault(parent, []), child)
+        if parent != BS_ID:
+            if parent not in parents:
+                raise ValueError(f"unknown parent: {parent}")
+            # Attaching under one's own descendant would close a cycle.
+            cur = parent
+            while cur != BS_ID:
+                if cur == child:
+                    raise ValueError(f"attaching {child} under {parent} creates a cycle")
+                cur = parents.get(cur)
+                if cur is None:
+                    break  # parent sits in a floating subtree; its root is not `child`
+        parents[child] = parent
+        kids = self._children[parent]
+        if kids and child < kids[-1]:
+            insort(kids, child)
+        else:
+            kids.append(child)
         self._children.setdefault(child, [])
 
     def detach_subtree_root(self, node: int) -> list[int]:
@@ -108,13 +113,11 @@ class RoutingTree:
 
     def max_depth(self) -> int:
         """Deepest level present in the tree."""
-        depth = 0
-        frontier = [(BS_ID, 0)]
-        while frontier:
-            node, lvl = frontier.pop()
-            if lvl > depth:
-                depth = lvl
-            frontier.extend((c, lvl + 1) for c in self._children.get(node, ()))
+        children = self._children
+        depth, level = 0, children[BS_ID]
+        while level:  # one list per level; floating subtrees are never reached
+            depth += 1
+            level = [c for p in level for c in children[p]]
         return depth
 
     def nodes(self) -> list[int]:
