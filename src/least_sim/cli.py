@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from concurrent import futures
@@ -76,9 +77,12 @@ def _parse_int(key, raw, line_no):
 
 def _parse_float(key, raw, line_no):
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
         raise ConfigError(f"line {line_no}: {key} must be a number, got {raw!r}") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"line {line_no}: {key} must be finite, got {raw!r}")
+    return value
 
 
 def parse_config(text: str) -> SimConfig:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .core import BS_ID, Network
@@ -25,6 +26,8 @@ class EnergyParams:
     def __post_init__(self):
         if self.epsilon_amp < 0 or self.rx_cost < 0:
             raise ValueError("energy coefficients must be >= 0")
+        if not (math.isfinite(self.epsilon_amp) and math.isfinite(self.rx_cost)):
+            raise ValueError("energy coefficients must be finite")
 
 
 class EnergyLedger:

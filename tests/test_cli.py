@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import least_sim
-from least_sim import SimConfig
+from least_sim import EnergyParams, SimConfig
 from least_sim.cli import (
     ANALYZE_HEADER,
     COMPARE_HEADER,
@@ -226,6 +226,30 @@ def test_main_config_error_exit_one(tmp_path):
     bad.write_text("p_ch = 2.0\n")
     code = main(["simulate", "--config", str(bad), "--out", str(tmp_path / "o")])
     assert code == 1
+
+
+@pytest.mark.parametrize("key", [
+    "area_w", "area_h", "bs_x", "bs_y", "initial_energy_j", "p_ch", "p_hn", "p_h",
+    "epsilon_amp", "rx_cost_j", "traffic_fraction",
+])
+@pytest.mark.parametrize("raw", ["nan", "inf", "-inf"])
+def test_main_non_finite_value_exit_one(tmp_path, capsys, key, raw):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(f"{key} = {raw}\n")
+    code = main(["simulate", "--config", str(bad), "--out", str(tmp_path / "o")])
+    assert code == 1
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "o" / "manifest.json").exists()
+
+
+def test_non_finite_values_rejected_in_constructors():
+    for field in ("area_w", "area_h", "initial_energy"):
+        with pytest.raises(ValueError, match=field):
+            SimConfig(**{field: float("nan")})
+    with pytest.raises(ValueError, match="finite"):
+        EnergyParams(epsilon_amp=float("inf"))
+    with pytest.raises(ValueError, match="finite"):
+        EnergyParams(rx_cost=float("nan"))
 
 
 def test_main_bad_seed_spec_exit_one(tmp_path):
