@@ -200,7 +200,12 @@ class Network:
     def farthest(self, src: int, ids) -> float:
         """Largest distance from ``src`` to any of ``ids`` (``src`` itself is at 0); 0 if none."""
         row = self._dist[src]
-        return max([row[i] for i in ids], default=0.0)
+        best = 0.0
+        for i in ids:
+            d = row[i]
+            if d > best:
+                best = d
+        return best
 
     def farthest_alive_distance(self, from_id: int) -> float:
         """Distance to the farthest other alive sensor; 0 when there is none."""

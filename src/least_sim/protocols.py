@@ -99,11 +99,7 @@ class ControlMessage(tuple):
             raise ValueError(f"negative packet count: {packets}")
         return tuple.__new__(cls, (kind, sender, tx_distance, packets, receiver))
 
-    kind = property(itemgetter(0))
-    sender = property(itemgetter(1))
-    tx_distance = property(itemgetter(2))
-    packets = property(itemgetter(3))
-    receiver = property(itemgetter(4))
+    kind, sender, tx_distance, packets, receiver = (property(itemgetter(i)) for i in range(5))
 
 
 @dataclass
