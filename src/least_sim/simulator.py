@@ -51,8 +51,9 @@ class SimConfig:
         if self.n < 1:
             raise ValueError(f"n must be >= 1: {self.n}")
         for name in ("area_w", "area_h", "initial_energy"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite: {getattr(self, name)}")
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite: {value}")
         if self.area_w <= 0 or self.area_h <= 0:
             raise ValueError("area dimensions must be positive")
         if self.initial_energy < 0:
