@@ -11,9 +11,11 @@ from least_sim import (
     Point,
     RandomStream,
     SensorNode,
+    SimConfig,
     bernoulli,
     distance,
     network_stats,
+    place_nodes,
     uniform_choice,
 )
 from conftest import make_net, make_nodes
@@ -138,6 +140,17 @@ def test_distance_metric_axioms(ax, ay, bx, by, cx, cy):
     assert distance(a, c) <= distance(a, b) + distance(b, c) + 1e-9
 
 
+any_finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(any_finite, any_finite, any_finite, any_finite)
+def test_dist_equals_hypot_bit_for_bit(a, b, c, d):
+    # the distance kernels use math.dist over tuples; every tie-break and
+    # output byte rests on it computing exactly what math.hypot does
+    assert math.dist((a, b), (c, d)) == math.hypot(a - c, b - d)
+
+
 # -- node state ---------------------------------------------------------
 
 def test_node_born_dead_at_zero_energy():
@@ -209,6 +222,40 @@ def test_stats_uniform_square_monte_carlo():
     assert abs(total / seeds - 52.14) < 2.0
 
 
+def reference_stats(nodes, alive_only):
+    """The pair loop over Point attributes and math.hypot, kept as an oracle."""
+    pts = [n.pos for n in nodes if n.alive or not alive_only]
+    m = len(pts)
+    pair_sum = 0.0
+    far = [0.0] * m
+    for i in range(m):
+        pi = pts[i]
+        for j in range(i + 1, m):
+            d = math.hypot(pi.x - pts[j].x, pi.y - pts[j].y)
+            pair_sum += d
+            if d > far[i]:
+                far[i] = d
+            if d > far[j]:
+                far[j] = d
+    return pair_sum / (m * (m - 1) / 2), sum(far) / m
+
+
+@pytest.mark.parametrize("alive_only", [True, False])
+def test_stats_equal_hypot_reference_exactly(alive_only):
+    nodes = place_nodes(SimConfig(n=300), RandomStream(17))
+    for node in nodes[::7]:
+        node.energy = 0.0
+        node.alive = False
+    s = network_stats(nodes, alive_only=alive_only)
+    assert (s.d_bar, s.d_bar_max) == reference_stats(nodes, alive_only)
+    # one rounding step in a pair is lost in a field-wide sum, but a lone
+    # pair's statistics are its distance itself
+    for pair in zip(nodes, nodes[1:]):
+        if all(n.alive for n in pair) or not alive_only:
+            s = network_stats(pair, alive_only=alive_only)
+            assert (s.d_bar, s.d_bar_max) == reference_stats(pair, alive_only)
+
+
 def test_stats_bounds_invariant():
     rng = np.random.default_rng(3)
     for _ in range(20):
@@ -230,6 +277,16 @@ def test_network_distance_table(five_net):
     assert five_net.dist(1, 1) == 0.0
     assert five_net.dist(1, 2) == pytest.approx(distance(Point(10, 10), Point(20, 80)))
     assert five_net.dist(0, 5) == pytest.approx(distance(Point(50, 50), Point(55, 45)))
+
+
+def test_network_table_equals_hypot_reference():
+    cfg = SimConfig(n=300)
+    net = Network(place_nodes(cfg, RandomStream(17)), cfg.bs_pos)
+    pts = [cfg.bs_pos] + [node.pos for node in net.nodes[1:]]
+    ids = range(len(pts))
+    for a, p in enumerate(pts):
+        expected = [math.hypot(p.x - q.x, p.y - q.y) for q in pts]
+        assert [net.dist(a, b) for b in ids] == expected, a
 
 
 def test_network_farthest_alive(five_net):
