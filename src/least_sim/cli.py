@@ -358,6 +358,8 @@ def cmd_analyze(config: SimConfig, seeds) -> str:
 
     Distance statistics are averaged over one placement per seed.
     """
+    if config.n < 2:
+        raise ConfigError(f"analyze needs n >= 2 to measure pair distances: n = {config.n}")
     d_bar = d_bar_max = 0.0
     for seed in seeds:
         cfg = replace(config, seed=seed)

@@ -25,6 +25,9 @@ from .tree import RoutingTree
 
 PROTOCOLS = ("leach", "least")
 
+#: Largest sensor count: ``Network`` holds (n+1)^2 distances, about 32 bytes each.
+MAX_N = 10_000
+
 
 class SimulationError(RuntimeError):
     pass
@@ -50,6 +53,10 @@ class SimConfig:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError(f"n must be >= 1: {self.n}")
+        if self.n > MAX_N:
+            cells = (self.n + 1) ** 2
+            raise ValueError(f"n must be <= {MAX_N}: {self.n} (the distance table would "
+                             f"hold {cells:,} floats, about {cells * 32 / 1e9:.1f} GB)")
         for name in ("area_w", "area_h", "initial_energy"):
             value = getattr(self, name)
             if not math.isfinite(value):

@@ -252,6 +252,30 @@ def test_non_finite_values_rejected_in_constructors():
         EnergyParams(rx_cost=float("nan"))
 
 
+def test_main_n_above_table_cap_exit_one(tmp_path, capsys):
+    big = tmp_path / "big.cfg"
+    big.write_text("n = 10001\n")
+    code = main(["simulate", "--config", str(big), "--out", str(tmp_path / "o")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "n must be <= 10000: 10001" in err and "distance table" in err
+    assert not (tmp_path / "o").exists()  # rejected before the manifest
+
+
+def test_n_cap_is_inclusive():
+    assert SimConfig(n=10_000).n == 10_000  # no Network is built here
+
+
+def test_main_analyze_single_sensor_exit_one(tmp_path, capsys):
+    cfg_path = tmp_path / "one.cfg"
+    cfg_path.write_text("n = 1\n")
+    code = main(["analyze", "--config", str(cfg_path), "--seeds", "1"])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert "config error" in captured.err and "n = 1" in captured.err
+    assert captured.out == ""
+
+
 def test_main_bad_seed_spec_exit_one(tmp_path):
     code = main(["simulate", "--seeds", "oops", "--out", str(tmp_path / "o")])
     assert code == 1
