@@ -260,10 +260,7 @@ def test_main_n_above_table_cap_exit_one(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "n must be <= 10000: 10001" in err and "distance table" in err
     assert not (tmp_path / "o").exists()  # rejected before the manifest
-
-
-def test_n_cap_is_inclusive():
-    assert SimConfig(n=10_000).n == 10_000  # no Network is built here
+    assert SimConfig(n=10_000).n == 10_000  # the cap itself is allowed; no Network is built
 
 
 def test_main_analyze_single_sensor_exit_one(tmp_path, capsys):
