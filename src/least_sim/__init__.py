@@ -10,8 +10,6 @@ from .core import (
     Point,
     RandomStream,
     SensorNode,
-    bernoulli,
-    distance,
     network_stats,
     uniform_choice,
 )
@@ -38,14 +36,6 @@ from .simulator import (
 )
 from .tree import RoutingTree, Violation
 
-
-def __getattr__(name):
-    # imported on use, so that ``python -m least_sim.cli`` loads cli only once
-    if name == "sweep_phn":
-        from .cli import sweep_phn
-        return sweep_phn
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
 __all__ = [
     "BS_ID",
     "ControlMessage",
@@ -67,10 +57,8 @@ __all__ = [
     "Simulation",
     "Violation",
     "apply_messages",
-    "bernoulli",
     "charge",
     "compare_estimates",
-    "distance",
     "elect_heirs",
     "elect_host_nodes",
     "estimate_leach",
@@ -82,7 +70,6 @@ __all__ = [
     "relocate",
     "rotation_eligible",
     "run",
-    "sweep_phn",
     "tx_cost",
     "uniform_choice",
 ]

@@ -47,27 +47,6 @@ class ConfigError(Exception):
 
 # -- config files -----------------------------------------------------
 
-_CONFIG_KEYS = (
-    "n",
-    "area_w",
-    "area_h",
-    "bs_x",
-    "bs_y",
-    "initial_energy_j",
-    "p_ch",
-    "p_hn",
-    "p_h",
-    "hn_window",
-    "epsilon_amp",
-    "rx_cost_j",
-    "protocol",
-    "seed",
-    "traffic_fraction",
-    "packets_per_sender",
-    "max_rounds",
-)
-
-
 def _parse_int(key, raw, line_no):
     try:
         return int(raw)
@@ -100,7 +79,7 @@ def parse_config(text: str) -> SimConfig:
             raise ConfigError(f"line {line_no}: expected 'key = value', got {raw_line!r}")
         key, _, raw = line.partition("=")
         key, raw = key.strip(), raw.strip()
-        if key not in _CONFIG_KEYS:
+        if key not in _DEFAULTS:
             raise ConfigError(f"line {line_no}: unknown key {key!r}")
         if key in values:
             raise ConfigError(f"line {line_no}: duplicate key {key!r}")
@@ -113,34 +92,19 @@ def parse_config(text: str) -> SimConfig:
         else:
             values[key] = _parse_float(key, raw, line_no)
 
-    base = SimConfig()
     for prob in ("p_ch", "p_hn", "p_h"):
         if prob in values and not 0.0 <= values[prob] <= 1.0:
             raise ConfigError(f"{prob} out of [0,1]: {values[prob]}")
+    v = {**_DEFAULTS, **values}
     try:
         return SimConfig(
-            n=values.get("n", base.n),
-            area_w=values.get("area_w", base.area_w),
-            area_h=values.get("area_h", base.area_h),
-            bs_pos=Point(
-                values.get("bs_x", base.bs_pos.x), values.get("bs_y", base.bs_pos.y)
-            ),
-            initial_energy=values.get("initial_energy_j", base.initial_energy),
-            params=ProtocolParams(
-                p_ch=values.get("p_ch", base.params.p_ch),
-                p_hn=values.get("p_hn", base.params.p_hn),
-                p_h=values.get("p_h", base.params.p_h),
-                hn_window=values.get("hn_window", base.params.hn_window),
-            ),
-            energy=EnergyParams(
-                epsilon_amp=values.get("epsilon_amp", base.energy.epsilon_amp),
-                rx_cost=values.get("rx_cost_j", base.energy.rx_cost),
-            ),
-            protocol=values.get("protocol", base.protocol),
-            seed=values.get("seed", base.seed),
-            traffic_fraction=values.get("traffic_fraction", base.traffic_fraction),
-            packets_per_sender=values.get("packets_per_sender", base.packets_per_sender),
-            max_rounds=values.get("max_rounds", base.max_rounds),
+            n=v["n"], area_w=v["area_w"], area_h=v["area_h"],
+            bs_pos=Point(v["bs_x"], v["bs_y"]), initial_energy=v["initial_energy_j"],
+            params=ProtocolParams(p_ch=v["p_ch"], p_hn=v["p_hn"], p_h=v["p_h"],
+                                  hn_window=v["hn_window"]),
+            energy=EnergyParams(epsilon_amp=v["epsilon_amp"], rx_cost=v["rx_cost_j"]),
+            protocol=v["protocol"], seed=v["seed"], traffic_fraction=v["traffic_fraction"],
+            packets_per_sender=v["packets_per_sender"], max_rounds=v["max_rounds"],
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
@@ -154,29 +118,28 @@ def load_config(path) -> SimConfig:
     return parse_config(text)
 
 
+def _config_values(config: SimConfig) -> dict:
+    """Every config-file key with its value in ``config``, in file order."""
+    p, e = config.params, config.energy
+    return {
+        "n": config.n, "area_w": config.area_w, "area_h": config.area_h,
+        "bs_x": config.bs_pos.x, "bs_y": config.bs_pos.y, "initial_energy_j": config.initial_energy,
+        "p_ch": p.p_ch, "p_hn": p.p_hn, "p_h": p.p_h, "hn_window": p.hn_window,
+        "epsilon_amp": e.epsilon_amp, "rx_cost_j": e.rx_cost, "protocol": config.protocol,
+        "seed": config.seed, "traffic_fraction": config.traffic_fraction,
+        "packets_per_sender": config.packets_per_sender, "max_rounds": config.max_rounds,
+    }
+
+
+_DEFAULTS = _config_values(SimConfig())
+
+
 def format_config(config: SimConfig) -> str:
     """Render a config as config-file text; parse(format(c)) == c."""
-    window = config.params.hn_window
-    lines = [
-        f"n = {config.n}",
-        f"area_w = {config.area_w!r}",
-        f"area_h = {config.area_h!r}",
-        f"bs_x = {config.bs_pos.x!r}",
-        f"bs_y = {config.bs_pos.y!r}",
-        f"initial_energy_j = {config.initial_energy!r}",
-        f"p_ch = {config.params.p_ch!r}",
-        f"p_hn = {config.params.p_hn!r}",
-        f"p_h = {config.params.p_h!r}",
-        f"hn_window = {'auto' if window is None else window}",
-        f"epsilon_amp = {config.energy.epsilon_amp!r}",
-        f"rx_cost_j = {config.energy.rx_cost!r}",
-        f"protocol = {config.protocol}",
-        f"seed = {config.seed}",
-        f"traffic_fraction = {config.traffic_fraction!r}",
-        f"packets_per_sender = {config.packets_per_sender}",
-        f"max_rounds = {config.max_rounds}",
-    ]
-    return "\n".join(lines) + "\n"
+    def text(value):
+        return "auto" if value is None else value if isinstance(value, str) else repr(value)
+
+    return "".join(f"{key} = {text(value)}\n" for key, value in _config_values(config).items())
 
 
 def parse_seeds(spec: str) -> list[int]:
@@ -360,6 +323,9 @@ def cmd_analyze(config: SimConfig, seeds) -> str:
     """
     if config.n < 2:
         raise ConfigError(f"analyze needs n >= 2 to measure pair distances: n = {config.n}")
+    if config.initial_energy == 0:
+        raise ConfigError("analyze needs initial_energy_j > 0 to measure distances between "
+                          f"alive sensors: initial_energy_j = {config.initial_energy}")
     d_bar = d_bar_max = 0.0
     for seed in seeds:
         cfg = replace(config, seed=seed)

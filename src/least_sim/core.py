@@ -47,13 +47,6 @@ class RandomStream:
         return lo + (hi - lo) * self.random()
 
 
-def bernoulli(stream: RandomStream, p: float) -> bool:
-    """True with probability p; consumes exactly one draw, even for p in {0, 1}."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"probability out of [0,1]: {p!r}")
-    return stream.random() < p
-
-
 def uniform_choice(stream: RandomStream, items):
     """Pick one item uniformly; consumes exactly one draw.
 
@@ -73,11 +66,6 @@ class Point:
     def __post_init__(self):
         if not (math.isfinite(self.x) and math.isfinite(self.y)):
             raise ValueError(f"non-finite coordinates: ({self.x}, {self.y})")
-
-
-def distance(a: Point, b: Point) -> float:
-    """Euclidean distance between two points."""
-    return math.hypot(a.x - b.x, a.y - b.y)
 
 
 @dataclass
@@ -154,6 +142,7 @@ class Network:
         self._dist = [list(map(math.dist, repeat(p), xy)) for p in xy]
         # deaths must flow through energy.charge so this stays consistent
         self._alive_ids = [n.id for n in nodes if n.alive]
+        self._farthest: list = [None] * (self.n + 1)  # per source: farthest alive id
 
     def node(self, node_id: int) -> SensorNode:
         if node_id < 1 or node_id > self.n:
@@ -207,8 +196,20 @@ class Network:
         return best
 
     def farthest_alive_distance(self, from_id: int) -> float:
-        """Distance to the farthest other alive sensor; 0 when there is none."""
-        return self.farthest(from_id, self._alive_ids)
+        """Distance to the farthest other alive sensor; 0 when there is none.
+
+        Cached per source: alive sets only shrink, so the farthest sensor
+        stays the farthest while it lives, and the float is the same."""
+        row, far = self._dist[from_id], self._farthest[from_id]
+        if far is not None and self.nodes[far].alive:
+            return row[far]
+        best, far = 0.0, None
+        for i in self._alive_ids:
+            d = row[i]
+            if d > best:
+                best, far = d, i
+        self._farthest[from_id] = far
+        return best
 
     def total_energy(self) -> float:
         # dead nodes hold exactly 0.0, so summing the alive ones suffices

@@ -6,6 +6,7 @@ import math
 from dataclasses import dataclass
 
 from .core import BS_ID, Network
+from .protocols import check_message
 
 
 class DeadNodeError(RuntimeError):
@@ -49,13 +50,26 @@ class EnergyLedger:
         self.round_steady = 0.0
         self.bucket = "setup"
 
-    def record(self, node_id: int, amount: float):
+    def record(self, amount: float):
         if self.bucket == "setup":
             self.round_setup += amount
             self.setup_total += amount
         else:
             self.round_steady += amount
             self.steady_total += amount
+
+    def record_all(self, amounts) -> None:
+        """``record`` each amount in turn: float sums depend on their order."""
+        setup = self.bucket == "setup"
+        part, whole = ((self.round_setup, self.setup_total) if setup
+                       else (self.round_steady, self.steady_total))
+        for amount in amounts:
+            part += amount
+            whole += amount
+        if setup:
+            self.round_setup, self.setup_total = part, whole
+        else:
+            self.round_steady, self.steady_total = part, whole
 
     def total(self) -> float:
         return self.setup_total + self.steady_total
@@ -88,7 +102,7 @@ def charge(net: Network, node_id: int, amount: float,
         node.alive = False
         net.mark_dead(node_id)
     if ledger is not None and spent:
-        ledger.record(node_id, spent)
+        ledger.record(spent)
     return spent
 
 
@@ -96,25 +110,47 @@ def apply_messages(net: Network, messages, params: EnergyParams,
                    ledger: EnergyLedger | None = None) -> None:
     """Charge a message log: senders pay epsilon * d^2 * packets.
 
-    Base-station sends are free (it is mains powered). A message whose sender
-    already died earlier in the log is skipped: it was never transmitted.
-    When reception pricing is on, the addressee pays rx_cost per packet, and
-    broadcasts (receiver None) charge every alive sensor within tx_distance.
+    Each ``(kind, sender, tx_distance, packets, receiver)`` record must pass
+    ``ControlMessage``'s checks; senders are charged inline exactly as
+    ``charge`` would, in log order. Base-station sends are free (it is mains
+    powered). A message whose sender already died earlier in the log is
+    skipped: it was never transmitted. When reception pricing is on, the
+    addressee pays rx_cost per packet, and broadcasts (receiver None) charge
+    every alive sensor within tx_distance.
     """
     eps, rx_cost = params.epsilon_amp, params.rx_cost
-    nodes = net.nodes
-    for _, sender, d, packets, receiver in messages:
-        if sender != BS_ID:
-            if not nodes[sender].alive:
-                continue
-            charge(net, sender, eps * d * d * packets, ledger)
-        if rx_cost > 0.0 and packets > 0:
-            rx = rx_cost * packets
-            if receiver is not None:
-                if receiver != BS_ID and net.node(receiver).alive:
-                    charge(net, receiver, rx, ledger)
-            else:
-                for nid in net.alive_ids():
-                    # only nid itself can die charging nid, so every nid is alive
-                    if nid != sender and net.dist(sender, nid) <= d:
-                        charge(net, nid, rx, ledger)
+    nodes, mark_dead, n = net.nodes, net.mark_dead, net.n
+    spent = []  # in charge order; recorded even if a later record is rejected
+    pay = spent.append
+    try:
+        for kind, sender, d, packets, receiver in messages:
+            check_message(kind, d, packets)
+            if sender != BS_ID:
+                if not 0 < sender <= n:
+                    raise KeyError(f"unknown sensor id: {sender}")
+                node = nodes[sender]
+                if not node.alive:
+                    continue
+                amount = eps * d * d * packets
+                energy = node.energy
+                if amount < energy:
+                    node.energy = energy - amount
+                    pay(amount)
+                else:  # dies transmitting: spends what it had left
+                    node.energy = 0.0
+                    node.alive = False
+                    mark_dead(sender)
+                    pay(energy)
+            if rx_cost > 0.0 and packets > 0:
+                rx = rx_cost * packets
+                if receiver is not None:
+                    if receiver != BS_ID and net.node(receiver).alive:
+                        pay(charge(net, receiver, rx))
+                else:
+                    for nid in net.alive_ids():
+                        # only nid itself can die charging nid, so every nid is alive
+                        if nid != sender and net.dist(sender, nid) <= d:
+                            pay(charge(net, nid, rx))
+    finally:
+        if ledger is not None:
+            ledger.record_all(spent)

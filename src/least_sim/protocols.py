@@ -9,7 +9,8 @@ when no child won. Nearest-parent choices, relocation and dead-node repair
 consume no draws.
 
 Message pricing is delegated to the energy module; this module only records
-what was sent, by whom, and over which distance.
+what was sent, by whom, and over which distance, as plain
+``(kind, sender, tx_distance, packets, receiver)`` tuples.
 """
 
 from __future__ import annotations
@@ -80,23 +81,30 @@ def _default_window(p: float) -> int:
     return int(1.0 / p) if p > 0.0 else 0
 
 
+def check_message(kind, tx_distance, packets) -> None:
+    """Reject an unknown kind or a negative distance or packet count."""
+    if kind not in MESSAGE_KINDS:
+        raise ValueError(f"unknown message kind: {kind}")
+    if tx_distance < 0:
+        raise ValueError(f"negative tx_distance: {tx_distance}")
+    if packets < 0:
+        raise ValueError(f"negative packet count: {packets}")
+
+
 class ControlMessage(tuple):
     """One setup-phase transmission: ``(kind, sender, tx_distance, packets, receiver)``.
 
     ``receiver`` is the addressee for point-to-point messages and None for
     broadcasts (whose reach is ``tx_distance``). The energy model charges the
-    sender epsilon * d^2 per packet; base-station sends are free.
+    sender epsilon * d^2 per packet; base-station sends are free. Setup emits
+    the same fields as plain tuples; ``ControlMessage(*record)`` validates one
+    and names its fields.
     """
 
     __slots__ = ()
 
     def __new__(cls, kind, sender, tx_distance, packets=1, receiver=None):
-        if kind not in MESSAGE_KINDS:
-            raise ValueError(f"unknown message kind: {kind}")
-        if tx_distance < 0:
-            raise ValueError(f"negative tx_distance: {tx_distance}")
-        if packets < 0:
-            raise ValueError(f"negative packet count: {packets}")
+        check_message(kind, tx_distance, packets)
         return tuple.__new__(cls, (kind, sender, tx_distance, packets, receiver))
 
     kind, sender, tx_distance, packets, receiver = (property(itemgetter(i)) for i in range(5))
@@ -104,10 +112,11 @@ class ControlMessage(tuple):
 
 @dataclass
 class SetupOutcome:
-    """Result of one setup phase: the map plus everything sent to build it."""
+    """Result of one setup phase: the map plus everything sent to build it,
+    as plain ``(kind, sender, tx_distance, packets, receiver)`` tuples."""
 
     tree: RoutingTree
-    messages: list[ControlMessage] = field(default_factory=list)
+    messages: list[tuple] = field(default_factory=list)
     host_nodes: set[int] = field(default_factory=set)
     heirs: dict[int, list[int]] = field(default_factory=dict)
 
@@ -143,9 +152,9 @@ def _run_election(stream: RandomStream, eligible: list[int], threshold: float,
                   fallback_pool: list[int]) -> list[int]:
     """One self-election: Bernoulli per eligible id (ascending), repeated on
     zero winners, then a uniform fallback so setup can never loop forever."""
-    rand = stream.random  # one Bernoulli draw per eligible candidate
+    draw = stream.next_u64  # one draw per eligible candidate, as RandomStream.random
     for _ in range(_MAX_ELECTION_ATTEMPTS):
-        winners = [i for i in eligible if rand() < threshold]
+        winners = [i for i in eligible if (draw() >> 11) * 2.0**-53 < threshold]
         if winners:
             return winners
     return [uniform_choice(stream, fallback_pool)]
@@ -169,20 +178,18 @@ def leach_setup(net: Network, params: ProtocolParams, round_no: int,
     eligible = rotation_eligible(alive, last, round_no, window)
     threshold = election_threshold(params.p_ch, round_no, window)
     heads = _run_election(stream, eligible, threshold, eligible if eligible else alive)
-    head_set = set(heads)
     for h in heads:
-        net.node(h).last_ch_round = round_no
+        nodes[h].last_ch_round = round_no
 
     tree = RoutingTree()
-    messages = []
-    heads_sorted = sorted(head_set)
-    for h in heads_sorted:
-        tree.attach(h, BS_ID)
-        messages.append(ControlMessage(CH_ANNOUNCE, h, net.farthest_alive_distance(h)))
+    tree.attach_all([(h, BS_ID) for h in heads])
+    far = net.farthest_alive_distance
+    messages = [(CH_ANNOUNCE, h, far(h), 1, None) for h in heads]
+    head_set = set(heads)
     members = [m for m in alive if m not in head_set]
-    for member, (target, d) in zip(members, net.nearest(heads_sorted, members)):
-        tree.attach(member, target)
-        messages.append(ControlMessage(JOIN_REQUEST, member, d, receiver=target))
+    joins = net.nearest(heads, members)
+    tree.attach_all([(m, target) for m, (target, _) in zip(members, joins)])
+    messages += [(JOIN_REQUEST, m, d, 1, target) for m, (target, d) in zip(members, joins)]
     return SetupOutcome(tree, messages)
 
 
@@ -205,12 +212,12 @@ def elect_host_nodes(net: Network, tree: RoutingTree, params: ProtocolParams,
             f"round {round_no}: no rotation-eligible host-node candidates"
         )
     threshold = election_threshold(params.p_hn, round_no, window)
-    hosts = sorted(_run_election(stream, eligible, threshold, eligible))
+    hosts = _run_election(stream, eligible, threshold, eligible)  # ascending
     messages = []
     for h in hosts:
-        net.node(h).last_hn_round = round_no
-        messages.append(ControlMessage(HN_ANNOUNCE_TO_BS, h, net.dist(h, BS_ID), receiver=BS_ID))
-    messages.append(ControlMessage(BS_NOTIFY_FIRST_LEVEL, BS_ID, net.farthest(BS_ID, first_level)))
+        nodes[h].last_hn_round = round_no
+        messages.append((HN_ANNOUNCE_TO_BS, h, net.dist(h, BS_ID), 1, BS_ID))
+    messages.append((BS_NOTIFY_FIRST_LEVEL, BS_ID, net.farthest(BS_ID, first_level), 1, None))
     return hosts, messages
 
 
@@ -226,24 +233,25 @@ def elect_heirs(net: Network, tree: RoutingTree, first_level, params: ProtocolPa
     """
     heirs: dict[int, list[int]] = {}
     messages = []
-    rand = stream.random  # one Bernoulli draw per child, ascending
+    draw = stream.next_u64  # one draw per child, ascending, as RandomStream.random
+    p_h = params.p_h
+    dist, farthest = net.dist, net.farthest
     for parent in sorted(first_level):
         kids = tree.children_of(parent)
         if not kids:
             continue
-        chosen = [c for c in kids if rand() < params.p_h]
+        chosen = [c for c in kids if (draw() >> 11) * 2.0**-53 < p_h]
         if not chosen:
             chosen = [uniform_choice(stream, kids)]
         heirs[parent] = chosen
-        to_bs = net.dist(parent, BS_ID)
+        to_bs = dist(parent, BS_ID)
         sibling_packets = 1 if len(kids) > 1 else 0
         for heir in chosen:
             # an heir is 0 from itself, so its farthest kid is its farthest sibling
             messages += (
-                ControlMessage(HEIR_NOTIFY_PARENT, heir, net.dist(heir, parent), receiver=parent),
-                ControlMessage(HEIR_RELAY_TO_BS, parent, to_bs, receiver=BS_ID),
-                ControlMessage(HEIR_ANNOUNCE_SIBLINGS, heir, net.farthest(heir, kids),
-                               packets=sibling_packets),
+                (HEIR_NOTIFY_PARENT, heir, dist(heir, parent), 1, parent),
+                (HEIR_RELAY_TO_BS, parent, to_bs, 1, BS_ID),
+                (HEIR_ANNOUNCE_SIBLINGS, heir, farthest(heir, kids), sibling_packets, None),
             )
     return heirs, messages
 
@@ -272,17 +280,15 @@ def relocate(net: Network, tree: RoutingTree, first_level, host_nodes, heirs) ->
     if overlap:
         raise ValueError(f"host nodes may not be first-level nodes: {sorted(overlap)}")
 
-    orphans = {f: tree.detach_subtree_root(f) for f in former}
-    for f in former:
-        for heir in heirs.get(f, ()):
-            tree.attach(heir, BS_ID)
-    for f in former:
+    orphans = [tree.detach_subtree_root(f) for f in former]
+    tree.attach_all([(heir, BS_ID) for f in former for heir in heirs.get(f, ())])
+    moves = []
+    for f, kids in zip(former, orphans):
         own_heirs = heirs.get(f, [])
-        movers = [c for c in orphans[f] if c not in own_heirs]
-        for child, (target, _) in zip(movers, net.nearest(own_heirs, movers)):
-            tree.attach(child, target)
-    for f, (host, _) in zip(former, net.nearest(hosts, former)):
-        tree.attach(f, host)
+        movers = [c for c in kids if c not in own_heirs]
+        moves += [(c, target) for c, (target, _) in zip(movers, net.nearest(own_heirs, movers))]
+    tree.attach_all(moves)
+    tree.attach_all([(f, host) for f, (host, _) in zip(former, net.nearest(hosts, former))])
 
 
 def least_setup(net: Network, tree: RoutingTree | None, params: ProtocolParams,

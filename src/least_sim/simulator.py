@@ -119,6 +119,7 @@ class Simulation:
         self.net = Network(nodes, config.bs_pos)
         self.ledger = EnergyLedger()
         self.tree: RoutingTree | None = None
+        self._pruned_alive: int | None = None  # alive count at the last prune
         self.round = 0
         self.initial_total = self.net.total_energy()
         self.delivered_total = 0
@@ -130,33 +131,29 @@ class Simulation:
     # -- round phases -------------------------------------------------
 
     def _prune_dead(self) -> None:
-        """Drop dead nodes from the map; orphans climb to the first alive ancestor."""
-        tree = self.tree
-        if tree is None:
+        """Drop dead nodes from the map; orphans climb to the first alive ancestor.
+
+        Skipped for LEACH, whose setup builds a fresh map, and when no sensor
+        has died since the last prune (alive sets only shrink).
+        """
+        tree, alive_count = self.tree, self.net.alive_count()
+        if tree is None or self.config.protocol == "leach" or alive_count == self._pruned_alive:
             return
+        self._pruned_alive = alive_count
         nodes = self.net.nodes
-        dead = [i for i in tree.nodes() if not nodes[i].alive]
-        if not dead:
-            return
         old_parent = tree.parent_map()
+        if all(nodes[i].alive for i in old_parent):
+            return
 
         def resolve(p: int) -> int:
             while p != BS_ID and not nodes[p].alive:
                 p = old_parent[p]
             return p
 
-        alive_in_tree = [i for i in tree.nodes() if nodes[i].alive]
-        # attach parents before children: order by old depth
-        depth = {}
-        for i in alive_in_tree:
-            d, cur = 0, i
-            while cur != BS_ID:
-                cur = old_parent[cur]
-                d += 1
-            depth[i] = d
-        rebuilt = RoutingTree()
-        for i in sorted(alive_in_tree, key=lambda v: (depth[v], v)):
-            rebuilt.attach(i, resolve(old_parent[i]))
+        rebuilt, level = RoutingTree(), tree.first_level()
+        while level:  # level by level, so that every new parent is attached first
+            rebuilt.attach_all([(i, resolve(old_parent[i])) for i in level if nodes[i].alive])
+            level = [c for p in level for c in tree.children_of(p)]
         self.tree = rebuilt
 
     def _run_setup(self) -> SetupOutcome:

@@ -47,31 +47,39 @@ class RoutingTree:
 
     def attach(self, child: int, parent: int) -> None:
         """Attach a detached node (plus any floating subtree) under ``parent``."""
-        parents = self._parent
-        if child == parent:
-            raise ValueError(f"node {child} cannot be its own parent")
-        if child == BS_ID:
-            raise ValueError("the base station cannot be attached")
-        if child in parents:
-            raise ValueError(f"node {child} is already attached")
-        if parent != BS_ID:
-            if parent not in parents:
-                raise ValueError(f"unknown parent: {parent}")
-            # Attaching under one's own descendant would close a cycle.
-            cur = parent
-            while cur != BS_ID:
-                if cur == child:
-                    raise ValueError(f"attaching {child} under {parent} creates a cycle")
-                cur = parents.get(cur)
-                if cur is None:
-                    break  # parent sits in a floating subtree; its root is not `child`
-        parents[child] = parent
-        kids = self._children[parent]
-        if kids and child < kids[-1]:
-            insort(kids, child)
-        else:
-            kids.append(child)
-        self._children.setdefault(child, [])
+        self.attach_all(((child, parent),))
+
+    def attach_all(self, edges) -> None:
+        """Attach each ``(child, parent)`` edge in turn, with every check of
+        ``attach``; an error leaves the edges before it in place."""
+        parents, children = self._parent, self._children
+        for child, parent in edges:
+            if child == parent:
+                raise ValueError(f"node {child} cannot be its own parent")
+            if child == BS_ID:
+                raise ValueError("the base station cannot be attached")
+            if child in parents:
+                raise ValueError(f"node {child} is already attached")
+            if parent != BS_ID:
+                if parent not in parents:
+                    raise ValueError(f"unknown parent: {parent}")
+                if children.get(child):  # only a node with children has descendants
+                    # Attaching under one's own descendant would close a cycle.
+                    cur = parent
+                    while cur != BS_ID:
+                        if cur == child:
+                            raise ValueError(f"attaching {child} under {parent} creates a cycle")
+                        cur = parents.get(cur)
+                        if cur is None:
+                            break  # parent sits in a floating subtree; its root is not `child`
+            parents[child] = parent
+            kids = children[parent]
+            if kids and child < kids[-1]:
+                insort(kids, child)
+            else:
+                kids.append(child)
+            if child not in children:
+                children[child] = []
 
     def detach_subtree_root(self, node: int) -> list[int]:
         """Detach ``node`` and orphan its children, returned in ascending order.
@@ -150,7 +158,3 @@ class RoutingTree:
             if node not in self._parent:
                 return Violation("coverage", node, "alive node missing from the map")
         return None
-
-    def to_lines(self) -> str:
-        """Snapshot as one ``child parent`` line per edge, ascending child id."""
-        return "\n".join(f"{c} {self._parent[c]}" for c in sorted(self._parent))

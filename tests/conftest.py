@@ -1,6 +1,6 @@
 import pytest
 
-from least_sim import Network, Point, SensorNode
+from least_sim import ControlMessage, Network, Point, SensorNode
 
 
 def make_nodes(positions, energy=1.0):
@@ -8,6 +8,17 @@ def make_nodes(positions, energy=1.0):
         SensorNode(id=i, pos=Point(x, y), energy=energy)
         for i, (x, y) in enumerate(positions, start=1)
     ]
+
+
+def checked(messages):
+    """Setup's plain message records, each validated and given field names."""
+    return [ControlMessage(*m) for m in messages]
+
+
+def to_lines(tree):
+    """A tree as one ``child parent`` line per edge, ascending child id."""
+    edges = tree.parent_map()
+    return "\n".join(f"{c} {edges[c]}" for c in sorted(edges))
 
 
 def make_net(positions, energy=1.0, bs=(50.0, 50.0)):

@@ -33,11 +33,11 @@ from least_sim import (
     network_stats,
     place_nodes,
     run,
-    sweep_phn,
 )
+from least_sim.cli import sweep_phn
 from least_sim.simulator import metrics_csv
 
-from conftest import FIVE_POSITIONS, make_net, make_nodes
+from conftest import FIVE_POSITIONS, checked, make_net, make_nodes
 from trace_oracle import leach_trace, least_round_trace
 
 SEEDS = list(range(1, 31))
@@ -288,7 +288,7 @@ def test_criterion_7_oracle_equivalence():
     want_parent, want_msgs, _ = leach_trace(pos, list(range(1, 11)), {}, params, 1, RandomStream(42))
     if got.tree.parent_map() != want_parent:
         failures.append("leach-setup trace")
-    if [(m.kind, m.sender) for m in got.messages] != [(k, s) for k, s, _, _ in want_msgs]:
+    if [(m.kind, m.sender) for m in checked(got.messages)] != [(k, s) for k, s, _, _ in want_msgs]:
         failures.append("leach-setup message order")
 
     params = ProtocolParams()
@@ -302,7 +302,7 @@ def test_criterion_7_oracle_equivalence():
     w2, w2_msgs, _, _ = least_round_trace(pos, [1, 2, 3, 4, 5], {}, w1, params, 2, ref)
     if out2.tree.parent_map() != w2:
         failures.append("tree-setup trace")
-    got_msgs = [(m.kind, m.sender, round(m.tx_distance, 9), m.packets) for m in out2.messages]
+    got_msgs = [(m.kind, m.sender, round(m.tx_distance, 9), m.packets) for m in checked(out2.messages)]
     ref_msgs = [(k, s, round(d, 9), p) for k, s, d, p in w2_msgs]
     if got_msgs != ref_msgs:
         failures.append("tree-setup messages")

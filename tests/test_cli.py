@@ -273,6 +273,16 @@ def test_main_analyze_single_sensor_exit_one(tmp_path, capsys):
     assert captured.out == ""
 
 
+def test_main_analyze_zero_energy_exit_one(tmp_path, capsys):
+    cfg_path = tmp_path / "dead.cfg"
+    cfg_path.write_text("initial_energy_j = 0\n")
+    code = main(["analyze", "--config", str(cfg_path), "--seeds", "1"])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert "config error" in captured.err and "initial_energy_j" in captured.err
+    assert captured.out == ""
+
+
 def test_main_bad_seed_spec_exit_one(tmp_path):
     code = main(["simulate", "--seeds", "oops", "--out", str(tmp_path / "o")])
     assert code == 1

@@ -12,13 +12,24 @@ from least_sim import (
     RandomStream,
     SensorNode,
     SimConfig,
-    bernoulli,
-    distance,
+    charge,
     network_stats,
     place_nodes,
     uniform_choice,
 )
 from conftest import make_net, make_nodes
+
+
+def bernoulli(stream, p):
+    """True with probability p; consumes exactly one draw, even for p in {0, 1}."""
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"probability out of [0,1]: {p!r}")
+    return stream.random() < p
+
+
+def distance(a, b):
+    """Euclidean distance between two points."""
+    return math.hypot(a.x - b.x, a.y - b.y)
 
 
 # -- random stream ------------------------------------------------------
@@ -308,3 +319,25 @@ def test_network_nearest_rules():
 def test_network_farthest_alone():
     net = make_net([(10, 10)])
     assert net.farthest_alive_distance(1) == 0.0
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_farthest_alive_equals_brute_force_through_kills(data):
+    """The per-source cache answers exactly like a scan, while deaths come
+    through ``charge`` between queries."""
+    n = data.draw(st.integers(1, 8))
+    # a coarse grid, so that equal distances and shared farthest sensors occur
+    coord = st.integers(0, 4).map(lambda k: 25.0 * k)
+    net = make_net([(data.draw(coord), data.draw(coord)) for _ in range(n)], energy=1.0)
+    ids = range(0, n + 1)  # the base station too
+
+    def brute(i):
+        return max([net.dist(i, j) for j in net.alive_ids() if j != i], default=0.0)
+
+    while True:
+        for i in data.draw(st.permutations(ids)):
+            assert net.farthest_alive_distance(i) == brute(i), i
+        if not net.alive_count():
+            break
+        charge(net, data.draw(st.sampled_from(net.alive_ids())), 2.0)

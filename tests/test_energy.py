@@ -1,22 +1,26 @@
 """Transmission pricing, charging semantics, and ledger bookkeeping."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from least_sim import (
     ControlMessage,
     EnergyLedger,
     EnergyParams,
+    Network,
     Point,
     ProtocolParams,
     RandomStream,
+    SensorNode,
     apply_messages,
     charge,
     leach_setup,
     tx_cost,
 )
 from least_sim.energy import DeadNodeError
+from least_sim.protocols import MESSAGE_KINDS
 
-from conftest import make_net
+from conftest import checked, make_net
 
 
 def test_tx_cost_formula():
@@ -110,7 +114,7 @@ def test_ledger_matches_brute_force_sum(line10_net):
     ledger = EnergyLedger()
     before = line10_net.total_energy()
     apply_messages(line10_net, out.messages, params, ledger)
-    want = sum(tx_cost(m.tx_distance, m.packets, params) for m in out.messages if m.sender != 0)
+    want = sum(tx_cost(m.tx_distance, m.packets, params) for m in checked(out.messages) if m.sender != 0)
     assert ledger.total() == pytest.approx(want, rel=1e-12)
     assert before - line10_net.total_energy() == pytest.approx(want, rel=1e-9)
 
@@ -166,11 +170,109 @@ def test_rx_pricing_broadcast_radius():
 def test_ledger_setup_steady_split():
     ledger = EnergyLedger()
     ledger.start_round()
-    ledger.record(1, 0.5)
+    ledger.record(0.5)
     ledger.bucket = "steady"
-    ledger.record(2, 0.25)
+    ledger.record(0.25)
     assert ledger.round_setup == pytest.approx(0.5)
     assert ledger.round_steady == pytest.approx(0.25)
     assert ledger.setup_total == pytest.approx(0.5)
     assert ledger.steady_total == pytest.approx(0.25)
     assert ledger.total() == pytest.approx(0.75)
+
+
+# -- inline charging against a loop of charge calls ---------------------------
+
+KINDS = sorted(MESSAGE_KINDS)
+
+
+def reference_apply(net, messages, params, ledger):
+    """``apply_messages`` written as one ``charge`` call per payment."""
+    eps, rx_cost = params.epsilon_amp, params.rx_cost
+    for _, sender, d, packets, receiver in messages:
+        if sender != 0:
+            if not net.node(sender).alive:
+                continue
+            charge(net, sender, eps * d * d * packets, ledger)
+        if rx_cost > 0.0 and packets > 0:
+            if receiver is not None:
+                if receiver != 0 and net.node(receiver).alive:
+                    charge(net, receiver, rx_cost * packets, ledger)
+            else:
+                for nid in net.alive_ids():
+                    if nid != sender and net.dist(sender, nid) <= d:
+                        charge(net, nid, rx_cost * packets, ledger)
+
+
+@st.composite
+def charging_cases(draw):
+    n = draw(st.integers(1, 6))
+    coord = st.floats(0.0, 100.0)
+    positions = [(draw(coord), draw(coord)) for _ in range(n)]
+    # small batteries, so that senders die partway through the log; with
+    # epsilon 2**-30, d = 32 and d = 16 at 4 packets cost exactly 2**-20
+    energies = [draw(st.sampled_from([2.0**-20, 2.0**-19, 1e-6, 5e-6, 1e-5])) for _ in range(n)]
+    record = st.tuples(
+        st.sampled_from(KINDS),
+        st.integers(0, n),  # 0 is the base station
+        st.one_of(st.sampled_from([0.0, 16.0, 32.0]), st.floats(0.0, 150.0)),
+        st.integers(0, 3),
+        st.one_of(st.none(), st.integers(0, n)),
+    )
+    log = draw(st.lists(record, max_size=25))
+    rx_cost = draw(st.sampled_from([0.0, 1e-7, 1e-6]))
+    bucket = draw(st.sampled_from(["setup", "steady"]))
+    return positions, energies, log, rx_cost, bucket
+
+
+def net_with_energies(positions, energies):
+    nodes = [SensorNode(id=i, pos=Point(x, y), energy=e)
+             for i, ((x, y), e) in enumerate(zip(positions, energies), start=1)]
+    return Network(nodes, Point(50.0, 50.0))
+
+
+def ledger_fields(ledger):
+    return (ledger.round_setup, ledger.setup_total, ledger.round_steady, ledger.steady_total)
+
+
+@settings(max_examples=300, deadline=None)
+@given(charging_cases())
+def test_inline_charging_equals_charge_calls(case):
+    positions, energies, log, rx_cost, bucket = case
+    params = EnergyParams(epsilon_amp=2.0**-30, rx_cost=rx_cost)
+    got_net, want_net = net_with_energies(positions, energies), net_with_energies(positions, energies)
+    got_ledger, want_ledger = EnergyLedger(), EnergyLedger()
+    for ledger in (got_ledger, want_ledger):
+        ledger.record(3e-7)  # a ledger that already holds an earlier charge
+        ledger.bucket = bucket
+        ledger.record(1e-7)
+    apply_messages(got_net, log, params, got_ledger)
+    reference_apply(want_net, log, params, want_ledger)
+    ids = range(1, len(positions) + 1)
+    assert [got_net.node(i).energy for i in ids] == [want_net.node(i).energy for i in ids]
+    assert [got_net.node(i).alive for i in ids] == [want_net.node(i).alive for i in ids]
+    assert got_net.alive_ids() == want_net.alive_ids()
+    assert ledger_fields(got_ledger) == ledger_fields(want_ledger)
+
+
+def test_apply_rejects_malformed_records():
+    params = EnergyParams()
+    for record in [("relocate_join", 1, 1.0, 1, None),
+                   ("ch_announce", 1, -0.5, 1, None),
+                   ("join_request", 1, 1.0, -1, 2)]:
+        net = make_net([(0, 0), (3, 4)])
+        ledger = EnergyLedger()
+        first = ("ch_announce", 2, 10.0, 1, None)
+        with pytest.raises(ValueError):
+            apply_messages(net, [first, record], params, ledger)
+        # the record before the bad one was charged and is in the ledger
+        spent = params.epsilon_amp * 10.0 * 10.0
+        assert (net.node(1).energy, net.node(2).energy) == (1.0, 1.0 - spent)
+        assert ledger.total() == spent
+
+
+def test_apply_rejects_unknown_senders():
+    net = make_net([(0, 0), (3, 4)])
+    for sender in (-1, 3):
+        with pytest.raises(KeyError, match="unknown sensor id"):
+            apply_messages(net, [("ch_announce", sender, 1.0, 1, None)], EnergyParams())
+    assert [net.node(i).energy for i in (1, 2)] == [1.0, 1.0]

@@ -21,12 +21,12 @@ from least_sim import (
 )
 from least_sim.protocols import election_threshold
 
-from conftest import FIVE_POSITIONS, make_net
+from conftest import FIVE_POSITIONS, checked, make_net, to_lines
 from trace_oracle import leach_trace, least_round_trace
 
 
 def msg_tuples(messages):
-    return [(m.kind, m.sender, pytest.approx(m.tx_distance), m.packets) for m in messages]
+    return [(m.kind, m.sender, pytest.approx(m.tx_distance), m.packets) for m in checked(messages)]
 
 
 # -- rotation and threshold ------------------------------------------------
@@ -87,9 +87,9 @@ def test_leach_single_node_forced():
     net = make_net([(30.0, 30.0)])
     out = leach_setup(net, ProtocolParams(p_ch=1.0), 1, RandomStream(1))
     assert out.tree.first_level() == [1]
-    kinds = [m.kind for m in out.messages]
+    kinds = [m.kind for m in checked(out.messages)]
     assert kinds == ["ch_announce"]
-    assert out.messages[0].tx_distance == 0.0  # no other alive sensor
+    assert checked(out.messages)[0].tx_distance == 0.0  # no other alive sensor
 
 
 def test_leach_all_heads_at_p1():
@@ -97,7 +97,7 @@ def test_leach_all_heads_at_p1():
     out = leach_setup(net, ProtocolParams(p_ch=1.0), 1, RandomStream(3))
     assert out.tree.first_level() == [1, 2, 3]
     assert out.tree.max_depth() == 1
-    assert all(m.kind == "ch_announce" for m in out.messages)
+    assert all(m.kind == "ch_announce" for m in checked(out.messages))
 
 
 def test_leach_no_alive_nodes():
@@ -114,7 +114,7 @@ def test_leach_golden_trace_line10(line10_net):
     assert out.tree.parent_map() == {
         1: 2, 2: 0, 3: 0, 4: 0, 5: 0, 6: 5, 7: 0, 8: 7, 9: 0, 10: 9,
     }
-    assert out.tree.to_lines() == (
+    assert to_lines(out.tree) == (
         "1 2\n2 0\n3 0\n4 0\n5 0\n6 5\n7 0\n8 7\n9 0\n10 9"
     )
     assert msg_tuples(out.messages) == [
@@ -147,10 +147,10 @@ def test_leach_matches_oracle_on_random_fields():
             pos, list(range(1, n + 1)), {}, params, 1, RandomStream(seed)
         )
         assert got.tree.parent_map() == want_parent
-        assert [(m.kind, m.sender, m.packets) for m in got.messages] == [
+        assert [(m.kind, m.sender, m.packets) for m in checked(got.messages)] == [
             (k, s, p) for k, s, _, p in want_msgs
         ]
-        for impl, ref in zip(got.messages, want_msgs):
+        for impl, ref in zip(checked(got.messages), want_msgs):
             assert impl.tx_distance == pytest.approx(ref[2], rel=1e-12)
 
 
@@ -162,6 +162,7 @@ def test_hosts_all_at_p1(five_net):
     for c in (1, 3, 4, 5):
         tree.attach(c, 2)
     hosts, msgs = elect_host_nodes(five_net, tree, ProtocolParams(p_hn=1.0), 2, RandomStream(1))
+    msgs = checked(msgs)
     assert hosts == [1, 3, 4, 5]  # every alive non-first-level sensor
     assert [m.kind for m in msgs] == ["hn_announce_to_bs"] * 4 + ["bs_notify_first_level"]
     assert msgs[-1].sender == BS_ID
@@ -255,6 +256,7 @@ def test_heirs_single_child_forced():
     tree.attach(1, 0)
     tree.attach(2, 1)
     heirs, msgs = elect_heirs(net, tree, [1], ProtocolParams(p_h=0.0), RandomStream(4))
+    msgs = checked(msgs)
     assert heirs == {1: [2]}
     sib = [m for m in msgs if m.kind == "heir_announce_siblings"][0]
     assert sib.packets == 0  # no siblings to notify
@@ -263,6 +265,7 @@ def test_heirs_single_child_forced():
 def test_heirs_all_children_at_p1(five_net):
     tree = heir_fixture(five_net)
     heirs, msgs = elect_heirs(five_net, tree, [2], ProtocolParams(p_h=1.0), RandomStream(9))
+    msgs = checked(msgs)
     assert heirs == {2: [1, 3, 4, 5]}
     assert sum(1 for m in msgs if m.kind == "heir_relay_to_bs") == 4
     assert all(m.sender == 2 for m in msgs if m.kind == "heir_relay_to_bs")
@@ -388,7 +391,7 @@ def test_least_matches_oracle_on_random_instances():
         assert out2.tree.parent_map() == want2
         assert sorted(out2.host_nodes) == want_hosts
         assert {k: v for k, v in out2.heirs.items()} == want_heirs
-        assert [(m.kind, m.sender) for m in out2.messages] == [
+        assert [(m.kind, m.sender) for m in checked(out2.messages)] == [
             (k, s) for k, s, _, _ in want_msgs
         ]
 
@@ -473,7 +476,8 @@ def test_setup_outcome_deterministic():
             rows.append(
                 (
                     tuple(sorted(sim.tree.parent_map().items())),
-                    tuple((m.kind, m.sender, m.tx_distance, m.packets, m.receiver) for m in out.messages),
+                    tuple((m.kind, m.sender, m.tx_distance, m.packets, m.receiver)
+                          for m in checked(out.messages)),
                 )
             )
         return rows

@@ -1,5 +1,7 @@
 """Round driver: placement, phases, metrics, lifetime summaries."""
 
+import hashlib
+import json
 import math
 from dataclasses import replace
 
@@ -16,8 +18,8 @@ from least_sim import (
     charge,
     place_nodes,
     run,
-    sweep_phn,
 )
+from least_sim.cli import parse_config, sweep_phn
 from least_sim.simulator import METRICS_HEADER, metrics_csv
 
 from conftest import FIVE_POSITIONS, make_nodes
@@ -130,6 +132,36 @@ def test_dead_nodes_prune_to_first_alive_ancestor():
     tree = sim.tree
     assert 2 not in tree
     assert tree.validate(sim.net.alive_ids()) is None
+
+
+def test_sensor_killed_between_rounds_is_pruned():
+    cfg = SimConfig(n=20, protocol="least", seed=3, traffic_fraction=0.0)
+    sim = Simulation(cfg)
+    for _ in range(4):  # deathless rounds: the prune runs once, then is skipped
+        sim.run_round()
+    assert sim.net.alive_count() == 20
+    victim = next(i for i in sim.tree.nodes() if sim.tree.children_of(i))
+    orphans = sim.tree.children_of(victim)
+    charge(sim.net, victim, 1.0)
+    sim.run_round()
+    assert victim not in sim.tree
+    assert all(o in sim.tree for o in orphans)
+    assert sim.tree.validate(sim.net.alive_ids()) is None
+
+
+def test_leach_runs_match_golden_digests():
+    """LEACH skips the dead-node prune, since its setup replaces the map;
+    its metrics files stay the frozen bytes on profiles where sensors die."""
+    from test_golden import DIGESTS, PROFILES
+
+    digests = json.loads(DIGESTS.read_text())
+    for name in ("traffic_full", "tiny_extinction", "deep_trees"):
+        cfg = parse_config(PROFILES[name])
+        for seed in (1, 2, 3, 4):
+            rows, summary = run(replace(cfg, protocol="leach", seed=seed))
+            assert summary.first_death_round is not None
+            got = hashlib.sha256(metrics_csv(rows).encode()).hexdigest()
+            assert got == digests[f"{name}/simulate/leach_seed{seed}.csv"], (name, seed)
 
 
 def test_round_requires_alive_nodes():

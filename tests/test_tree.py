@@ -5,6 +5,8 @@ from hypothesis import given, settings, strategies as st
 
 from least_sim import RoutingTree
 
+from conftest import to_lines
+
 
 def chain_tree(*edges):
     t = RoutingTree()
@@ -135,7 +137,7 @@ def test_validate_inconsistent_child_list():
 
 def test_serialization_lines():
     t = chain_tree((3, 0), (1, 0), (2, 3))
-    assert t.to_lines() == "1 0\n2 3\n3 0"
+    assert to_lines(t) == "1 0\n2 3\n3 0"
 
 
 @settings(max_examples=150, deadline=None)
@@ -179,3 +181,89 @@ def test_random_build_detach_reattach_stays_valid(data):
         assert_sound()
         for node in range(1, n + 1):
             assert t.level(node) == len(t.path_to_root(node)) - 1
+
+
+# -- batched attach ------------------------------------------------------------
+
+def floating_fixture():
+    """5 under the base station; 1 detached, and 2 floating with 3 below it."""
+    t = chain_tree((1, 0), (2, 1), (3, 2), (5, 0))
+    assert t.detach_subtree_root(1) == [2]
+    return t
+
+
+@pytest.mark.parametrize("edge", [(5, 5), (0, 5), (5, 0), (4, 9), (4, 2), (2, 3)])
+def test_attach_all_raises_what_attach_raises(edge):
+    one, batch = floating_fixture(), floating_fixture()
+    with pytest.raises(ValueError) as by_one:
+        one.attach(*edge)
+    with pytest.raises(ValueError) as by_batch:
+        batch.attach_all([edge])
+    assert str(by_batch.value) == str(by_one.value)
+    assert batch.parent_map() == one.parent_map() == floating_fixture().parent_map()
+
+
+def test_attach_all_cycle_through_an_edge_of_the_same_batch():
+    t = floating_fixture()
+    # 4 joins 2's floating subtree, then 2 is hung below 4
+    with pytest.raises(ValueError, match="attaching 2 under 4 creates a cycle"):
+        t.attach_all([(4, 3), (2, 4)])
+    assert t.parent_of(4) == 3  # edges before the failing one stay in place
+    assert t.parent_of(2) is None
+    t.attach_all([(2, 5), (1, 4)])
+    assert t.path_to_root(1) == [1, 4, 3, 2, 5, 0]
+
+
+def reference_attach(parent_of, child, parent):
+    """``attach``'s rules over a plain dict, walking for cycles every time."""
+    if child == parent:
+        raise ValueError(f"node {child} cannot be its own parent")
+    if child == 0:
+        raise ValueError("the base station cannot be attached")
+    if child in parent_of:
+        raise ValueError(f"node {child} is already attached")
+    if parent != 0:
+        if parent not in parent_of:
+            raise ValueError(f"unknown parent: {parent}")
+        cur = parent
+        while cur is not None and cur != 0:
+            if cur == child:
+                raise ValueError(f"attaching {child} under {parent} creates a cycle")
+            cur = parent_of.get(cur)
+    parent_of[child] = parent
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_attach_all_matches_reference_rules(data):
+    """Random batches and detaches: the same edges land and the same errors
+    are raised as by the plain rules, cycle walk included."""
+    n = data.draw(st.integers(min_value=1, max_value=8))
+    node = st.integers(min_value=0, max_value=n)
+    t, ref = RoutingTree(), {}
+    for _ in range(data.draw(st.integers(min_value=1, max_value=12))):
+        if ref and data.draw(st.booleans()):
+            victim = data.draw(st.sampled_from(sorted(ref)))
+            orphans = t.detach_subtree_root(victim)
+            assert orphans == sorted(c for c, p in ref.items() if p == victim)
+            del ref[victim]
+            for orphan in orphans:
+                del ref[orphan]
+            continue
+        edges = data.draw(st.lists(st.tuples(node, node), min_size=1, max_size=5))
+        want = None
+        for child, parent in edges:
+            try:
+                reference_attach(ref, child, parent)
+            except ValueError as exc:
+                want = str(exc)
+                break
+        if want is None:
+            t.attach_all(edges)
+        else:
+            with pytest.raises(ValueError) as got:
+                t.attach_all(edges)
+            assert str(got.value) == want
+        assert t.parent_map() == ref
+        for p in [0, *ref]:
+            assert t.children_of(p) == sorted(c for c, q in ref.items() if q == p)
