@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 from .core import BS_ID, Network, Point, RandomStream, SensorNode
-from .energy import EnergyLedger, EnergyParams, apply_messages, charge, tx_cost
+from .energy import EnergyLedger, EnergyParams, apply_messages
 from .protocols import (
     ProtocolParams,
     ProtocolStallError,
@@ -170,45 +170,59 @@ class Simulation:
         return outcome
 
     def _select_senders(self, alive: list[int]) -> list[int]:
+        """The round's senders, drawn from ``alive`` (a fresh copy, shuffled in place)."""
         frac = self.config.traffic_fraction
         if frac >= 1.0:
-            return list(alive)
+            return alive
         k = int(frac * len(alive))
-        if k == 0:
-            return []
-        pool = list(alive)
         for i in range(k):
-            j = i + self.stream.next_u64() % (len(pool) - i)
-            pool[i], pool[j] = pool[j], pool[i]
-        return pool[:k]
+            j = i + self.stream.next_u64() % (len(alive) - i)
+            alive[i], alive[j] = alive[j], alive[i]
+        return alive[:k]
 
     def _steady_phase(self) -> tuple[int, int]:
-        cfg = self.config
-        packets = cfg.packets_per_sender
+        """Senders' packets climb the map, each forwarder charged inline in
+        sender-then-hop order exactly as ``charge(net, fwd, tx_cost(d, packets))``
+        would: one left at exactly zero dies but still sends the packet on."""
+        packets = self.config.packets_per_sender
         senders = self._select_senders(self.net.alive_ids())
-        delivered = attempted = 0
-        if packets == 0:
+        if not senders or packets == 0:
             return 0, 0
-        nodes = self.net.nodes
-        tree = self.tree
-        for sender in senders:
-            attempted += packets
-            if not nodes[sender].alive:
-                continue  # killed forwarding someone else's traffic
-            path = tree.path_to_root(sender)
-            ok = True
-            for hop in range(len(path) - 1):
-                fwd = path[hop]
-                if not nodes[fwd].alive:
-                    ok = False
-                    break
-                cost = tx_cost(self.net.dist(fwd, path[hop + 1]), packets, cfg.energy)
-                if charge(self.net, fwd, cost, self.ledger) < cost:
-                    ok = False  # died mid-transmission: packet lost
-                    break
-            if ok:
-                delivered += packets
-        return delivered, attempted
+        eps, nodes, table = self.config.energy.epsilon_amp, self.net.nodes, self.net._dist
+        parent = self.tree.parent_map()
+        hops = range(len(parent) + 1)  # more passes than any acyclic path has hops
+        spent, delivered = [], 0  # spends in charge order, recorded even on an error
+        try:
+            for sender in senders:
+                if sender not in parent and nodes[sender].alive:
+                    raise ValueError(f"unknown node: {sender}")
+                fwd = sender
+                for _ in hops:
+                    node = nodes[fwd]
+                    if not node.alive:
+                        break  # a dead sender sends nothing; a dead forwarder drops it
+                    nxt = parent[fwd]
+                    d = table[fwd][nxt]
+                    amount, energy = eps * d * d * packets, node.energy
+                    if amount < energy:
+                        node.energy = energy - amount
+                        if amount:
+                            spent.append(amount)
+                    else:  # dies transmitting: spends what it had left
+                        node.energy, node.alive = 0.0, False
+                        self.net.mark_dead(fwd)
+                        spent.append(energy)
+                        if energy < amount:
+                            break  # died mid-transmission: packet lost
+                    if nxt == BS_ID:
+                        delivered += packets
+                        break
+                    fwd = nxt
+                else:
+                    raise RuntimeError(f"parent cycle reached from node {sender}")
+        finally:
+            self.ledger.record_all(spent)
+        return delivered, packets * len(senders)
 
     def run_round(self) -> RoundMetrics:
         if self.net.alive_count() == 0:

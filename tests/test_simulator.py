@@ -1,28 +1,34 @@
 """Round driver: placement, phases, metrics, lifetime summaries."""
 
+import copy
 import hashlib
 import json
 import math
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from least_sim import (
     EnergyParams,
     Point,
     ProtocolParams,
     RandomStream,
+    RoutingTree,
     SensorNode,
+    SetupOutcome,
     SimConfig,
     Simulation,
     charge,
     place_nodes,
     run,
+    tx_cost,
 )
 from least_sim.cli import parse_config, sweep_phn
 from least_sim.simulator import METRICS_HEADER, metrics_csv
 
 from conftest import FIVE_POSITIONS, make_nodes
+from trace_oracle import steady_trace
 
 
 def five_sim(protocol="leach", **overrides):
@@ -122,6 +128,171 @@ def test_round_charges_match_recorded_paths():
             eps * sim.net.dist(path[i], path[i + 1]) ** 2 for i in range(len(path) - 1)
         )
     assert sim.ledger.round_steady == pytest.approx(want, rel=1e-12)
+
+
+# -- steady phase --------------------------------------------------------------
+
+def reference_steady(sim):
+    """The steady phase as a loop of public calls: a shuffle of a copy of the
+    alive ids, then ``path_to_root`` walks, ``tx_cost`` and one ``charge`` per hop."""
+    cfg, net = sim.config, sim.net
+    alive = net.alive_ids()
+    if cfg.traffic_fraction >= 1.0:
+        senders = list(alive)
+    else:
+        k = int(cfg.traffic_fraction * len(alive))
+        pool = list(alive)
+        for i in range(k):
+            j = i + sim.stream.next_u64() % (len(pool) - i)
+            pool[i], pool[j] = pool[j], pool[i]
+        senders = pool[:k]
+    packets = cfg.packets_per_sender
+    if packets == 0:
+        return 0, 0
+    delivered = attempted = 0
+    for sender in senders:
+        attempted += packets
+        if not net.node(sender).alive:
+            continue
+        path = sim.tree.path_to_root(sender)
+        for fwd, nxt in zip(path, path[1:]):
+            if not net.node(fwd).alive:
+                break
+            cost = tx_cost(net.dist(fwd, nxt), packets, cfg.energy)
+            if charge(net, fwd, cost, sim.ledger) < cost:
+                break
+        else:
+            delivered += packets
+    return delivered, attempted
+
+
+def sim_state(sim):
+    """Everything the steady phase may touch, for ``==`` comparison."""
+    ids, ledger = range(1, sim.config.n + 1), sim.ledger
+    return {
+        "energy": [sim.net.node(i).energy for i in ids],
+        "alive": [sim.net.node(i).alive for i in ids],
+        "alive_ids": sim.net.alive_ids(),
+        "stream": sim.stream._state,
+        "ledger": (ledger.round_setup, ledger.setup_total, ledger.round_steady, ledger.steady_total),
+    }
+
+
+@st.composite
+def steady_cases(draw):
+    """A simulation a few rounds in (small first batteries leave dead
+    forwarders in the map), then given random batteries: some tiny, some
+    exactly the cost of the node's own hop, so that deaths happen partway,
+    mid-path and at exactly zero energy."""
+    cfg = SimConfig(
+        n=draw(st.integers(1, 12)), protocol=draw(st.sampled_from(["leach", "least"])),
+        seed=draw(st.integers(0, 999)), initial_energy=draw(st.sampled_from([0.1, 1e-4])),
+        traffic_fraction=draw(st.sampled_from([0.0, 0.3, 0.5, 0.75, 1.0])),
+        packets_per_sender=draw(st.integers(0, 3)),
+        energy=EnergyParams(epsilon_amp=draw(st.sampled_from([0.0, 2.0**-30, 50e-9, 1e-6]))),
+    )
+    sim = Simulation(cfg)
+    for _ in range(draw(st.integers(1, 3))):
+        if sim.net.alive_count():
+            sim.run_round()
+    eps, packets, parent = cfg.energy.epsilon_amp, cfg.packets_per_sender, sim.tree.parent_map()
+    for i in sim.net.alive_ids():
+        d = sim.net.dist(i, parent[i]) if i in parent else 0.0
+        exact = eps * d * d * packets
+        choice = draw(st.sampled_from(["keep", "exact", "tiny", "float"]))
+        if choice == "exact" and exact > 0:
+            sim.net.node(i).energy = exact
+        elif choice == "tiny":
+            sim.net.node(i).energy = draw(st.sampled_from([2.0**-22, 1e-7, 3e-6, 1e-5]))
+        elif choice == "float":
+            sim.net.node(i).energy = draw(st.floats(1e-9, 1e-3))
+    sim.ledger.bucket = "steady"
+    return sim
+
+
+@settings(max_examples=300, deadline=None)
+@given(steady_cases())
+def test_steady_phase_equals_reference_loop(sim):
+    want_sim = copy.deepcopy(sim)
+    got = sim._steady_phase()
+    want = reference_steady(want_sim)
+    assert got == want
+    assert sim_state(sim) == sim_state(want_sim)
+
+
+@settings(max_examples=200, deadline=None)
+@given(steady_cases())
+def test_steady_phase_matches_oracle(sim):
+    """Forwarding against ``trace_oracle.steady_trace``, which shares no code
+    with the package; the senders come from the package's own draw."""
+    net = sim.net
+    senders = copy.deepcopy(sim)._select_senders(net.alive_ids())
+    pos = {0: (net.bs_pos.x, net.bs_pos.y)}
+    pos.update((i, (net.node(i).pos.x, net.node(i).pos.y)) for i in range(1, net.n + 1))
+    energy = {i: net.node(i).energy for i in range(1, net.n + 1)}
+    packets = sim.config.packets_per_sender
+    total, delivered = steady_trace(pos, energy, sim.tree.parent_map(), senders, packets,
+                                    sim.config.energy.epsilon_amp)
+    sim.ledger.start_round()
+    sim.ledger.bucket = "steady"
+    assert sim._steady_phase() == (delivered, packets * len(senders))
+    assert [net.node(i).energy for i in range(1, net.n + 1)] == list(energy.values())
+    assert sim.ledger.round_steady == total
+
+
+def chain_sim(energies):
+    """Sensors 16 m apart on a vertical line below the BS, each routed through
+    the one above it; with epsilon 2**-30 every hop costs exactly 2**-22 J."""
+    cfg = SimConfig(n=len(energies), protocol="least", energy=EnergyParams(epsilon_amp=2.0**-30))
+    nodes = [SensorNode(id=i, pos=Point(50.0, 50.0 - 16.0 * i), energy=e)
+             for i, e in enumerate(energies, start=1)]
+    sim = Simulation(cfg, nodes=nodes)
+    sim.tree = RoutingTree()
+    sim.tree.attach_all((i, i - 1) for i in range(1, len(energies) + 1))
+    return sim
+
+
+def test_forwarder_dying_at_exactly_zero_still_delivers(monkeypatch):
+    hop = 2.0**-22
+    sim = chain_sim([2 * hop, 1.0])
+    monkeypatch.setattr(sim, "_run_setup", lambda: SetupOutcome(sim.tree))
+    m = sim.run_round()
+    # sensor 1 sends its own packet, then forwards sensor 2's with exactly hop left
+    assert not sim.net.node(1).alive and sim.net.node(1).energy == 0.0
+    assert sim.net.alive_ids() == [2]
+    assert sim.last_delivered == 2
+    assert m.steady_energy == sim.ledger.round_steady == hop + hop + hop
+
+
+def test_alive_sender_missing_from_map_raises():
+    sim = chain_sim([1.0, 1.0, 1.0])
+    sim.tree.detach_subtree_root(3)
+    sim.ledger.bucket = "steady"
+    with pytest.raises(ValueError, match="unknown node: 3"):
+        sim._steady_phase()
+    # senders 1 and 2 were charged and recorded; sensor 3 paid nothing
+    hop = 2.0**-22
+    assert [sim.net.node(i).energy for i in (1, 2, 3)] == [1.0 - hop - hop, 1.0 - hop, 1.0]
+    assert sim.ledger.total() == sim.initial_total - sim.net.total_energy() == 3 * hop
+
+
+def test_parent_cycle_raises():
+    sim = chain_sim([1.0, 1.0])
+    sim.tree._parent[1] = 2  # 1 -> 2 -> 1; attach refuses to build this
+    with pytest.raises(RuntimeError, match="parent cycle"):
+        sim._steady_phase()
+    assert sim.ledger.total() == sim.initial_total - sim.net.total_energy()
+
+
+def test_zero_packets_charge_nothing_but_draw_the_senders():
+    cfg = SimConfig(n=10, seed=5, traffic_fraction=0.5, packets_per_sender=0)
+    sim, alone = Simulation(cfg), Simulation(cfg)
+    before = sim_state(sim)
+    assert sim._steady_phase() == (0, 0)
+    assert len(alone._select_senders(alone.net.alive_ids())) == 5
+    after = sim_state(sim)
+    assert after.pop("stream") == alone.stream._state != before.pop("stream")
+    assert after == before
 
 
 def test_dead_nodes_prune_to_first_alive_ancestor():

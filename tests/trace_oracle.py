@@ -163,7 +163,8 @@ def steady_trace(pos, energy, parent, senders, packets, eps):
             if energy[node] <= 0.0:
                 ok = False
                 break
-            cost = eps * dist(pos[node], pos[nxt]) ** 2 * packets
+            d = dist(pos[node], pos[nxt])
+            cost = eps * d * d * packets  # the package's operand order, bit for bit
             spent = min(cost, energy[node])
             energy[node] -= spent
             total += spent
