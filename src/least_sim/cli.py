@@ -15,6 +15,7 @@ import os
 import sys
 from concurrent import futures
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 from statistics import median
 
@@ -27,10 +28,10 @@ from .simulator import (
     LifetimeSummary,
     RoundMetrics,
     SimConfig,
+    Simulation,
     fmt_float,
     metrics_csv,
     place_nodes,
-    run,
 )
 
 DEFAULT_SWEEP_GRID = (0.01, 0.05, 0.1, 0.2, 0.4, 0.6, 0.9)
@@ -143,7 +144,7 @@ def format_config(config: SimConfig) -> str:
 
 
 def parse_seeds(spec: str) -> list[int]:
-    """Seed list syntax: '7', '1,2,5', or an inclusive range '1..30'."""
+    """Seed list syntax: '7', '1,2,5', or an inclusive range '1..30'; no seed twice."""
     spec = spec.strip()
     try:
         if ".." in spec:
@@ -152,9 +153,13 @@ def parse_seeds(spec: str) -> list[int]:
             if hi < lo:
                 raise ValueError
             return list(range(lo, hi + 1))
-        return [int(part) for part in spec.split(",")]
+        seeds = [int(part) for part in spec.split(",")]
     except ValueError:
         raise ConfigError(f"bad seed spec {spec!r}; use N, a,b,c or a..b") from None
+    if len(set(seeds)) < len(seeds):
+        twice = next(seed for seed in seeds if seeds.count(seed) > 1)
+        raise ConfigError(f"seed {twice} is repeated in {spec!r}")
+    return seeds
 
 
 # -- run orchestration -------------------------------------------------
@@ -178,23 +183,34 @@ def _fan_out(fn, items) -> list:
     on scheduling.
     """
     items = list(items)
-    workers = min(_worker_count(), len(items))
+    workers = min(_worker_count(), len(items), os.cpu_count() or 1)
     if workers <= 1:
         return [fn(item) for item in items]
     with futures.ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items))
 
 
+def _run_placement(configs, keep=None) -> list:
+    """Run configs of one seed in turn; later runs reuse the first one's distance table."""
+    out, table = [], None
+    for config in configs:
+        sim = Simulation(config, table=table)
+        table, result = sim.net.table, sim.run()
+        del sim  # between runs hold only the table, not the finished run
+        out.append(result if keep is None else keep(config, result))
+    return out
+
+
 def run_many(config: SimConfig, protocols, seeds):
     """Run every (protocol, seed) pair; results keyed by that pair."""
-    keys = [(p, s) for p in protocols for s in seeds]
-    configs = [replace(config, protocol=p, seed=s) for p, s in keys]
-    return dict(zip(keys, _fan_out(run, configs)))
+    groups = [[replace(config, protocol=p, seed=s) for p in protocols] for s in seeds]
+    results = dict(zip(seeds, _fan_out(_run_placement, groups)))
+    return {(p, s): results[s][i] for i, p in enumerate(protocols) for s in seeds}
 
 
-def _half_life(config: SimConfig) -> int:
+def _half_life(config: SimConfig, result) -> int:
     """Half-life of one run; the round cap, a lower bound, if never reached."""
-    half = run(config)[1].half_life_round
+    half = result[1].half_life_round
     return config.max_rounds if half is None else half
 
 
@@ -202,13 +218,12 @@ def sweep_phn(base_config: SimConfig, values, seeds) -> list[tuple[float, float]
     """Median half-life per host-node probability, over the given seeds."""
     if not values:
         raise ValueError("sweep needs at least one value")
-    configs = [
-        replace(base_config, seed=s, params=replace(base_config.params, p_hn=v))
-        for v in values for s in seeds
+    groups = [
+        [replace(base_config, seed=s, params=replace(base_config.params, p_hn=v)) for v in values]
+        for s in seeds
     ]
-    halves = _fan_out(_half_life, configs)
-    k = len(seeds)
-    return [(v, float(median(halves[i * k:(i + 1) * k]))) for i, v in enumerate(values)]
+    halves = _fan_out(partial(_run_placement, keep=_half_life), groups)
+    return [(v, float(median(h[i] for h in halves))) for i, v in enumerate(values)]
 
 
 def write_manifest(out_dir: Path, command: str, config: SimConfig,

@@ -129,17 +129,21 @@ class Network:
 
     Pairwise distances are precomputed once (positions never change), which
     keeps the per-round protocol loops cheap. Memory: (n+1)^2 floats at about
-    32 bytes each (123 MiB at n=2000); ``SimConfig`` caps n at 10,000.
+    32 bytes each (123 MiB at n=2000); ``SimConfig`` caps n at 10,000. An
+    earlier network's ``table`` (its ``(x, y)`` list, then its rows) is
+    reused when the positions are equal: the rows are never written.
     """
 
-    def __init__(self, nodes: list[SensorNode], bs_pos: Point):
+    def __init__(self, nodes: list[SensorNode], bs_pos: Point, table: tuple | None = None):
         if [n.id for n in nodes] != list(range(1, len(nodes) + 1)):
             raise ValueError("sensor ids must be exactly 1..n, in order")
         self.bs_pos = bs_pos
         self.n = len(nodes)
         self.nodes: list = [None] + list(nodes)  # slot 0 reserved for the BS
         xy = [(bs_pos.x, bs_pos.y)] + [(n.pos.x, n.pos.y) for n in nodes]
-        self._dist = [list(map(math.dist, repeat(p), xy)) for p in xy]
+        if table is None or table[0] != xy:
+            table = (xy, [list(map(math.dist, repeat(p), xy)) for p in xy])
+        self.table, self._dist = table, table[1]
         # deaths must flow through energy.charge so this stays consistent
         self._alive_ids = [n.id for n in nodes if n.alive]
         self._farthest: list = [None] * (self.n + 1)  # per source: farthest alive id

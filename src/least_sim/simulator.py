@@ -111,12 +111,12 @@ class Simulation:
     placement draws are skipped and the stream starts at the elections.
     """
 
-    def __init__(self, config: SimConfig, nodes: list[SensorNode] | None = None):
+    def __init__(self, config: SimConfig, nodes: list[SensorNode] | None = None, table=None):
         self.config = config
         self.stream = RandomStream(config.seed)
         if nodes is None:
             nodes = place_nodes(config, self.stream)
-        self.net = Network(nodes, config.bs_pos)
+        self.net = Network(nodes, config.bs_pos, table)
         self.ledger = EnergyLedger()
         self.tree: RoutingTree | None = None
         self._pruned_alive: int | None = None  # alive count at the last prune

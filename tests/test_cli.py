@@ -4,12 +4,14 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
+from statistics import median
 
 import pytest
 
 import least_sim
-from least_sim import EnergyParams, SimConfig
+from least_sim import EnergyParams, SimConfig, cli, run
 from least_sim.cli import (
     ANALYZE_HEADER,
     COMPARE_HEADER,
@@ -84,6 +86,8 @@ def test_parse_seeds_forms():
     assert parse_seeds("3..6") == [3, 4, 5, 6]
     with pytest.raises(ConfigError):
         parse_seeds("x")
+    with pytest.raises(ConfigError, match="seed 2 is repeated"):
+        parse_seeds("2,3,2")
 
 
 def test_simulate_writes_metrics_and_summary(tmp_path):
@@ -131,6 +135,33 @@ def test_worker_fanout_matches_serial(tmp_path, monkeypatch):
     cmd_simulate(cfg, [1, 2], ["leach", "least"], fanned)
     for path in sorted(serial.iterdir()):
         assert path.read_bytes() == (fanned / path.name).read_bytes()
+
+
+# A profile where sensors die within the cap, so grouped runs go through deaths.
+DYING = "n = 12\ninitial_energy_j = 0.002\nmax_rounds = 300\n"
+
+
+@pytest.mark.parametrize("protocols", [["leach", "least"], ["least", "leach"]])
+def test_run_many_equals_independent_runs(protocols):
+    cfg = parse_config(DYING)
+    results = cli.run_many(cfg, protocols, [2, 1, 5])
+    assert list(results) == [(p, s) for p in protocols for s in [2, 1, 5]]
+    for (protocol, seed), result in results.items():
+        assert result == run(replace(cfg, protocol=protocol, seed=seed))
+        assert result[0][-1].dead_count > 0
+
+
+def test_sweep_equals_independent_runs():
+    cfg = parse_config(DYING)
+    values, seeds = [0.05, 0.5, 0.2], [3, 1]
+    got = cli.sweep_phn(cfg, values, seeds)
+    halves = {}
+    for v in values:
+        for s in seeds:
+            summary = run(replace(cfg, seed=s, params=replace(cfg.params, p_hn=v)))[1]
+            assert summary.half_life_round is not None
+            halves.setdefault(v, []).append(summary.half_life_round)
+    assert got == [(v, float(median(halves[v]))) for v in values]
 
 
 def test_compare_table_schema(tmp_path):
@@ -288,6 +319,18 @@ def test_main_bad_seed_spec_exit_one(tmp_path):
     assert code == 1
 
 
+@pytest.mark.parametrize("command", ["simulate", "compare", "sweep", "analyze"])
+def test_main_repeated_seed_exit_one(tmp_path, capsys, command):
+    # a repeated seed would run its placement twice and count it twice in medians
+    argv = [command, "--seeds", "4,1,4"]
+    if command != "analyze":
+        argv += ["--out", str(tmp_path / "o")]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert "seed 4 is repeated" in captured.err and captured.out == ""
+    assert not (tmp_path / "o").exists()  # rejected before the manifest
+
+
 def test_main_runtime_error_exit_two(tmp_path):
     target = tmp_path / "collide"
     target.write_text("not a directory")
@@ -302,6 +345,40 @@ def test_main_bad_thread_count_exit_one(tmp_path, monkeypatch, capsys, raw):
     assert code == 1
     assert "LEAST_SIM_THREADS" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()  # rejected before the manifest
+
+
+class RecordingPool:
+    """Stands in for ``ProcessPoolExecutor``: records its size, maps in-process."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+@pytest.mark.parametrize("threads, cores, items, started", [
+    ("1000", 4, 9, [4]),     # clamped to the cores
+    ("1000", 64, 3, [3]),    # clamped to the items
+    ("3", 64, 9, [3]),       # as asked
+    ("1000", None, 9, []),   # core count unknown: one, in-process
+    ("1000", 1, 9, []),
+])
+def test_fan_out_at_most_one_worker_per_core(monkeypatch, threads, cores, items, started):
+    monkeypatch.setenv("LEAST_SIM_THREADS", threads)
+    monkeypatch.setattr(os, "cpu_count", lambda: cores)
+    monkeypatch.setattr(cli.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(RecordingPool, "sizes", [])
+    assert cli._fan_out(abs, range(-items, 0)) == list(range(items, 0, -1))
+    assert RecordingPool.sizes == started
 
 
 def test_module_entry_point_runs_cli():

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from least_sim import (
     EnergyParams,
+    Network,
     Point,
     ProtocolParams,
     RandomStream,
@@ -450,6 +451,36 @@ def test_run_byte_identical_per_seed():
     a = metrics_csv(run(cfg)[0])
     b = metrics_csv(run(cfg)[0])
     assert a == b
+
+
+# -- distance table reuse -------------------------------------------------------
+
+def test_table_shared_only_for_equal_positions():
+    a = Network(make_nodes(FIVE_POSITIONS), Point(50.0, 50.0))
+    b = Network(make_nodes(FIVE_POSITIONS), Point(50.0, 50.0), a.table)
+    assert b._dist is a._dist and b.table is a.table
+    moved = FIVE_POSITIONS[:-1] + [(55.0, 45.5)]
+    for net in (Network(make_nodes(moved), Point(50.0, 50.0), a.table),
+                Network(make_nodes(FIVE_POSITIONS), Point(0.0, 50.0), a.table)):
+        fresh = Network(net.nodes[1:], net.bs_pos)
+        assert net._dist is not a._dist and net._dist == fresh._dist
+
+
+def test_table_reused_across_runs_of_one_placement():
+    cfg = SimConfig(n=12, seed=3, initial_energy=0.002, protocol="least", max_rounds=300)
+    first = Simulation(cfg)
+    first.run()
+    assert first.net.alive_count() < cfg.n  # the run killed sensors
+    assert first.net._dist == Simulation(cfg).net._dist  # and left the table as built
+    second = Simulation(replace(cfg, protocol="leach"), table=first.net.table)
+    assert second.net._dist is first.net._dist
+    assert second.net.alive_count() == cfg.n  # per-run state is never shared
+    assert second.net._farthest is not first.net._farthest
+    assert second.run() == Simulation(replace(cfg, protocol="leach")).run()
+    for other in (replace(cfg, seed=4), replace(cfg, bs_pos=Point(0.0, 0.0))):
+        sim = Simulation(other, table=first.net.table)
+        assert sim.net._dist is not first.net._dist
+        assert sim.net._dist == Simulation(other).net._dist
 
 
 # -- sweep ---------------------------------------------------------------------
