@@ -9,7 +9,6 @@ from .core import (
     NetworkStats,
     Point,
     RandomStream,
-    SensorNode,
     network_stats,
     uniform_choice,
 )
@@ -51,7 +50,6 @@ __all__ = [
     "RandomStream",
     "RoundMetrics",
     "RoutingTree",
-    "SensorNode",
     "SetupOutcome",
     "SimConfig",
     "Simulation",

@@ -93,9 +93,6 @@ def parse_config(text: str) -> SimConfig:
         else:
             values[key] = _parse_float(key, raw, line_no)
 
-    for prob in ("p_ch", "p_hn", "p_h"):
-        if prob in values and not 0.0 <= values[prob] <= 1.0:
-            raise ConfigError(f"{prob} out of [0,1]: {values[prob]}")
     v = {**_DEFAULTS, **values}
     try:
         return SimConfig(
@@ -218,12 +215,14 @@ def sweep_phn(base_config: SimConfig, values, seeds) -> list[tuple[float, float]
     """Median half-life per host-node probability, over the given seeds."""
     if not values:
         raise ValueError("sweep needs at least one value")
+    distinct = list(dict.fromkeys(values))  # a repeated value is run once per seed
     groups = [
-        [replace(base_config, seed=s, params=replace(base_config.params, p_hn=v)) for v in values]
+        [replace(base_config, seed=s, params=replace(base_config.params, p_hn=v)) for v in distinct]
         for s in seeds
     ]
     halves = _fan_out(partial(_run_placement, keep=_half_life), groups)
-    return [(v, float(median(h[i] for h in halves))) for i, v in enumerate(values)]
+    medians = {v: float(median(h[i] for h in halves)) for i, v in enumerate(distinct)}
+    return [(v, medians[v]) for v in values]
 
 
 def write_manifest(out_dir: Path, command: str, config: SimConfig,
@@ -339,13 +338,11 @@ def cmd_analyze(config: SimConfig, seeds) -> str:
     if config.n < 2:
         raise ConfigError(f"analyze needs n >= 2 to measure pair distances: n = {config.n}")
     if config.initial_energy == 0:
-        raise ConfigError("analyze needs initial_energy_j > 0 to measure distances between "
-                          f"alive sensors: initial_energy_j = {config.initial_energy}")
+        raise ConfigError("analyze needs initial_energy_j > 0, since the estimates price "
+                          f"traffic between alive sensors: initial_energy_j = {config.initial_energy}")
     d_bar = d_bar_max = 0.0
     for seed in seeds:
-        cfg = replace(config, seed=seed)
-        nodes = place_nodes(cfg, RandomStream(seed))
-        stats = network_stats(nodes)
+        stats = network_stats(place_nodes(replace(config, seed=seed), RandomStream(seed)))
         d_bar += stats.d_bar
         d_bar_max += stats.d_bar_max
     stats = NetworkStats(d_bar / len(seeds), d_bar_max / len(seeds))

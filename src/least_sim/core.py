@@ -1,4 +1,4 @@
-"""Geometry, node state, network statistics, and the seeded random stream.
+"""Geometry, sensor state, network statistics, and the seeded random stream.
 
 Every stochastic decision in a simulation draws from a single RandomStream
 in a documented order, so one (config, seed) pair replays bit-exactly on any
@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import chain, repeat
 
 #: Reserved id of the base station, the root of every routing tree.
 BS_ID = 0
@@ -68,47 +68,19 @@ class Point:
             raise ValueError(f"non-finite coordinates: ({self.x}, {self.y})")
 
 
-@dataclass
-class SensorNode:
-    """One battery-powered sensor.
-
-    ``alive`` is false exactly when ``energy`` is zero; the simulator never
-    lets energy increase. ``last_ch_round`` / ``last_hn_round`` record the
-    most recent round the node held each elected role, for rotation checks.
-    """
-
-    id: int
-    pos: Point
-    energy: float
-    alive: bool = True
-    last_ch_round: int | None = None
-    last_hn_round: int | None = None
-
-    def __post_init__(self):
-        if self.id < 1:
-            raise ValueError(f"sensor ids start at 1 (0 is the base station): {self.id}")
-        if self.energy < 0:
-            raise ValueError(f"negative energy: {self.energy}")
-        if self.energy == 0:
-            self.alive = False
-
-
 @dataclass(frozen=True)
 class NetworkStats:
     d_bar: float      # mean distance over unordered sensor pairs
     d_bar_max: float  # mean over sensors of the distance to their farthest peer
 
 
-def network_stats(nodes, alive_only: bool = True) -> NetworkStats:
-    """Pairwise distance statistics over sensors; the base station is excluded.
-
-    With ``alive_only`` (the default) dead sensors are ignored, since the
-    statistics price sensor-to-sensor control traffic.
-    """
-    pts = [(n.pos.x, n.pos.y) for n in nodes if n.alive or not alive_only]
+def network_stats(positions) -> NetworkStats:
+    """Pairwise distance statistics over sensor ``(x, y)`` positions; the
+    base station is excluded."""
+    pts = list(positions)
     m = len(pts)
     if m < 2:
-        raise ValueError("network statistics need at least two qualifying nodes")
+        raise ValueError("network statistics need at least two sensors")
     dist = math.dist
     pair_sum = 0.0
     far = [0.0] * m
@@ -125,7 +97,14 @@ def network_stats(nodes, alive_only: bool = True) -> NetworkStats:
 
 
 class Network:
-    """Sensor field: nodes indexed by id, plus the base station position.
+    """Sensor field: per-id run state, plus the base station position.
+
+    ``energy``, ``last_ch`` and ``last_hn`` are lists indexed by sensor id
+    (1..n; slot 0, the mains-powered base station's, holds 0.0 and None). A
+    sensor is alive exactly when its energy is above zero: energy never
+    rises, and whoever drops a sensor to 0.0 calls ``mark_dead`` so that the
+    ordered alive list agrees. ``last_ch`` / ``last_hn`` hold the last round
+    a sensor was cluster head / host node, None if never.
 
     Pairwise distances are precomputed once (positions never change), which
     keeps the per-round protocol loops cheap. Memory: (n+1)^2 floats at about
@@ -134,27 +113,27 @@ class Network:
     reused when the positions are equal: the rows are never written.
     """
 
-    def __init__(self, nodes: list[SensorNode], bs_pos: Point, table: tuple | None = None):
-        if [n.id for n in nodes] != list(range(1, len(nodes) + 1)):
-            raise ValueError("sensor ids must be exactly 1..n, in order")
+    def __init__(self, positions, bs_pos: Point, energies, table: tuple | None = None):
+        if len(positions) != len(energies):
+            raise ValueError(f"{len(positions)} positions but {len(energies)} energies")
+        xy = [(bs_pos.x, bs_pos.y), *positions]
+        if not all(map(math.isfinite, chain.from_iterable(xy))):
+            raise ValueError("sensor coordinates must be finite")
+        if not all(map(math.isfinite, energies)) or min(energies, default=0.0) < 0:
+            raise ValueError("initial energies must be finite and >= 0")
         self.bs_pos = bs_pos
-        self.n = len(nodes)
-        self.nodes: list = [None] + list(nodes)  # slot 0 reserved for the BS
-        xy = [(bs_pos.x, bs_pos.y)] + [(n.pos.x, n.pos.y) for n in nodes]
+        self.n = n = len(positions)
         if table is None or table[0] != xy:
             table = (xy, [list(map(math.dist, repeat(p), xy)) for p in xy])
         self.table, self._dist = table, table[1]
-        # deaths must flow through energy.charge so this stays consistent
-        self._alive_ids = [n.id for n in nodes if n.alive]
-        self._farthest: list = [None] * (self.n + 1)  # per source: farthest alive id
-
-    def node(self, node_id: int) -> SensorNode:
-        if node_id < 1 or node_id > self.n:
-            raise KeyError(f"unknown sensor id: {node_id}")
-        return self.nodes[node_id]
+        self.energy = [0.0, *energies]
+        self.last_ch: list = [None] * (n + 1)
+        self.last_hn: list = [None] * (n + 1)
+        self._alive_ids = [i for i, e in enumerate(self.energy) if e > 0]
+        self._farthest: list = [None] * (n + 1)  # per source: farthest alive id
 
     def mark_dead(self, node_id: int) -> None:
-        """Bookkeeping hook for the energy model when a node hits zero."""
+        """Drop a sensor whose energy was just set to zero from the alive list."""
         self._alive_ids.remove(node_id)
 
     def alive_ids(self) -> list[int]:
@@ -205,7 +184,7 @@ class Network:
         Cached per source: alive sets only shrink, so the farthest sensor
         stays the farthest while it lives, and the float is the same."""
         row, far = self._dist[from_id], self._farthest[from_id]
-        if far is not None and self.nodes[far].alive:
+        if far is not None and self.energy[far] > 0:
             return row[far]
         best, far = 0.0, None
         for i in self._alive_ids:
@@ -216,6 +195,6 @@ class Network:
         return best
 
     def total_energy(self) -> float:
-        # dead nodes hold exactly 0.0, so summing the alive ones suffices
-        nodes = self.nodes
-        return sum([nodes[i].energy for i in self._alive_ids])
+        # dead sensors and slot 0 hold exactly 0.0, and adding 0.0 changes no
+        # partial sum, so this equals the alive sensors' sum in id order
+        return sum(self.energy)

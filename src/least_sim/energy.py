@@ -84,22 +84,28 @@ def tx_cost(d: float, packets: int, params: EnergyParams) -> float:
     return params.epsilon_amp * d * d * packets
 
 
+def _sensor_id(net: Network, node_id: int) -> int:
+    """``node_id`` if it names a sensor (1..n); a bare list index would wrap -1."""
+    if not 0 < node_id <= net.n:
+        raise KeyError(f"unknown sensor id: {node_id}")
+    return node_id
+
+
 def charge(net: Network, node_id: int, amount: float,
            ledger: EnergyLedger | None = None) -> float:
-    """Deduct up to ``amount`` from a node, killing it at zero.
+    """Deduct up to ``amount`` from a sensor, killing it at zero.
 
     Returns what was actually spent (clamped at the remaining energy); a
-    return value below ``amount`` means the node died mid-transmission.
+    return value below ``amount`` means the sensor died mid-transmission.
     """
-    node = net.node(node_id)
-    if not node.alive:
+    left = net.energy[_sensor_id(net, node_id)]
+    if not left > 0:
         raise DeadNodeError(f"node {node_id} is dead")
     if amount < 0:
         raise ValueError(f"negative charge: {amount}")
-    spent = amount if amount <= node.energy else node.energy
-    node.energy -= spent
-    if node.energy == 0.0:
-        node.alive = False
+    spent = amount if amount <= left else left
+    net.energy[node_id] = left = left - spent
+    if left == 0.0:
         net.mark_dead(node_id)
     if ledger is not None and spent:
         ledger.record(spent)
@@ -119,7 +125,7 @@ def apply_messages(net: Network, messages, params: EnergyParams,
     every alive sensor within tx_distance.
     """
     eps, rx_cost = params.epsilon_amp, params.rx_cost
-    nodes, mark_dead, n = net.nodes, net.mark_dead, net.n
+    energy, mark_dead, n = net.energy, net.mark_dead, net.n
     spent = []  # in charge order; recorded even if a later record is rejected
     pay = spent.append
     try:
@@ -128,23 +134,21 @@ def apply_messages(net: Network, messages, params: EnergyParams,
             if sender != BS_ID:
                 if not 0 < sender <= n:
                     raise KeyError(f"unknown sensor id: {sender}")
-                node = nodes[sender]
-                if not node.alive:
+                left = energy[sender]
+                if not left > 0:
                     continue
                 amount = eps * d * d * packets
-                energy = node.energy
-                if amount < energy:
-                    node.energy = energy - amount
+                if amount < left:
+                    energy[sender] = left - amount
                     pay(amount)
                 else:  # dies transmitting: spends what it had left
-                    node.energy = 0.0
-                    node.alive = False
+                    energy[sender] = 0.0
                     mark_dead(sender)
-                    pay(energy)
+                    pay(left)
             if rx_cost > 0.0 and packets > 0:
                 rx = rx_cost * packets
                 if receiver is not None:
-                    if receiver != BS_ID and net.node(receiver).alive:
+                    if receiver != BS_ID and energy[_sensor_id(net, receiver)] > 0:
                         pay(charge(net, receiver, rx))
                 else:
                     for nid in net.alive_ids():

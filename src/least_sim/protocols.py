@@ -173,13 +173,12 @@ def leach_setup(net: Network, params: ProtocolParams, round_no: int,
     if not alive:
         raise ValueError("no alive sensors")
     window = params.ch_rotation_window()
-    nodes = net.nodes
-    last = [nodes[i].last_ch_round for i in alive]
-    eligible = rotation_eligible(alive, last, round_no, window)
+    last_ch = net.last_ch
+    eligible = rotation_eligible(alive, [last_ch[i] for i in alive], round_no, window)
     threshold = election_threshold(params.p_ch, round_no, window)
     heads = _run_election(stream, eligible, threshold, eligible if eligible else alive)
     for h in heads:
-        nodes[h].last_ch_round = round_no
+        last_ch[h] = round_no
 
     tree = RoutingTree()
     tree.attach_all([(h, BS_ID) for h in heads])
@@ -203,10 +202,9 @@ def elect_host_nodes(net: Network, tree: RoutingTree, params: ProtocolParams,
     """
     first_level = set(tree.first_level())
     window = params.hn_rotation_window()
-    nodes = net.nodes
+    last_hn = net.last_hn
     candidates = [i for i in net.alive_ids() if i not in first_level]
-    last = [nodes[i].last_hn_round for i in candidates]
-    eligible = rotation_eligible(candidates, last, round_no, window)
+    eligible = rotation_eligible(candidates, [last_hn[i] for i in candidates], round_no, window)
     if not eligible:
         raise ProtocolStallError(
             f"round {round_no}: no rotation-eligible host-node candidates"
@@ -215,7 +213,7 @@ def elect_host_nodes(net: Network, tree: RoutingTree, params: ProtocolParams,
     hosts = _run_election(stream, eligible, threshold, eligible)  # ascending
     messages = []
     for h in hosts:
-        nodes[h].last_hn_round = round_no
+        last_hn[h] = round_no
         messages.append((HN_ANNOUNCE_TO_BS, h, net.dist(h, BS_ID), 1, BS_ID))
     messages.append((BS_NOTIFY_FIRST_LEVEL, BS_ID, net.farthest(BS_ID, first_level), 1, None))
     return hosts, messages

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import BS_ID, Network, Point, RandomStream, SensorNode
+from .core import BS_ID, Network, Point, RandomStream
 from .energy import EnergyLedger, EnergyParams, apply_messages
 from .protocols import (
     ProtocolParams,
@@ -94,36 +94,35 @@ class LifetimeSummary:
     avg_energy_per_packet: float
 
 
-def place_nodes(config: SimConfig, stream: RandomStream) -> list[SensorNode]:
-    """Uniform i.i.d. placement; ids 1..n in draw order (x then y per node)."""
-    nodes = []
-    for i in range(1, config.n + 1):
-        x = stream.uniform(0.0, config.area_w)
-        y = stream.uniform(0.0, config.area_h)
-        nodes.append(SensorNode(id=i, pos=Point(x, y), energy=config.initial_energy))
-    return nodes
+def place_nodes(config: SimConfig, stream: RandomStream) -> list[tuple[float, float]]:
+    """Uniform i.i.d. ``(x, y)`` positions of sensors 1..n, drawn x then y per sensor."""
+    uniform, w, h = stream.uniform, config.area_w, config.area_h
+    return [(uniform(0.0, w), uniform(0.0, h)) for _ in range(config.n)]
 
 
 class Simulation:
     """Drives rounds for one (config, seed) pair.
 
-    ``nodes`` may be injected for fixture-based tests, in which case the
+    ``net`` may be injected for fixture-based tests, in which case the
     placement draws are skipped and the stream starts at the elections.
+    Otherwise the placement's ``Network`` reuses ``table`` when it fits.
     """
 
-    def __init__(self, config: SimConfig, nodes: list[SensorNode] | None = None, table=None):
+    def __init__(self, config: SimConfig, net: Network | None = None, table=None):
         self.config = config
         self.stream = RandomStream(config.seed)
-        if nodes is None:
-            nodes = place_nodes(config, self.stream)
-        self.net = Network(nodes, config.bs_pos, table)
+        if net is None:
+            net = Network(place_nodes(config, self.stream), config.bs_pos,
+                          [config.initial_energy] * config.n, table)
+        elif net.n != config.n:
+            raise ValueError(f"the network has {net.n} sensors but the config has n = {config.n}")
+        self.net = net
         self.ledger = EnergyLedger()
         self.tree: RoutingTree | None = None
         self._pruned_alive: int | None = None  # alive count at the last prune
         self.round = 0
         self.initial_total = self.net.total_energy()
         self.delivered_total = 0
-        self.attempted_total = 0
         self.last_outcome: SetupOutcome | None = None
         self.last_delivered = 0
         self.last_attempted = 0
@@ -140,19 +139,19 @@ class Simulation:
         if tree is None or self.config.protocol == "leach" or alive_count == self._pruned_alive:
             return
         self._pruned_alive = alive_count
-        nodes = self.net.nodes
+        energy = self.net.energy
         old_parent = tree.parent_map()
-        if all(nodes[i].alive for i in old_parent):
+        if all(energy[i] > 0 for i in old_parent):
             return
 
         def resolve(p: int) -> int:
-            while p != BS_ID and not nodes[p].alive:
+            while p != BS_ID and not energy[p] > 0:
                 p = old_parent[p]
             return p
 
         rebuilt, level = RoutingTree(), tree.first_level()
         while level:  # level by level, so that every new parent is attached first
-            rebuilt.attach_all([(i, resolve(old_parent[i])) for i in level if nodes[i].alive])
+            rebuilt.attach_all([(i, resolve(old_parent[i])) for i in level if energy[i] > 0])
             level = [c for p in level for c in tree.children_of(p)]
         self.tree = rebuilt
 
@@ -188,31 +187,31 @@ class Simulation:
         senders = self._select_senders(self.net.alive_ids())
         if not senders or packets == 0:
             return 0, 0
-        eps, nodes, table = self.config.energy.epsilon_amp, self.net.nodes, self.net._dist
+        eps, energy, table = self.config.energy.epsilon_amp, self.net.energy, self.net._dist
         parent = self.tree.parent_map()
         hops = range(len(parent) + 1)  # more passes than any acyclic path has hops
         spent, delivered = [], 0  # spends in charge order, recorded even on an error
         try:
             for sender in senders:
-                if sender not in parent and nodes[sender].alive:
+                if sender not in parent and energy[sender] > 0:
                     raise ValueError(f"unknown node: {sender}")
                 fwd = sender
                 for _ in hops:
-                    node = nodes[fwd]
-                    if not node.alive:
+                    left = energy[fwd]
+                    if not left > 0:
                         break  # a dead sender sends nothing; a dead forwarder drops it
                     nxt = parent[fwd]
                     d = table[fwd][nxt]
-                    amount, energy = eps * d * d * packets, node.energy
-                    if amount < energy:
-                        node.energy = energy - amount
+                    amount = eps * d * d * packets
+                    if amount < left:
+                        energy[fwd] = left - amount
                         if amount:
                             spent.append(amount)
                     else:  # dies transmitting: spends what it had left
-                        node.energy, node.alive = 0.0, False
+                        energy[fwd] = 0.0
                         self.net.mark_dead(fwd)
-                        spent.append(energy)
-                        if energy < amount:
+                        spent.append(left)
+                        if left < amount:
                             break  # died mid-transmission: packet lost
                     if nxt == BS_ID:
                         delivered += packets
@@ -238,7 +237,6 @@ class Simulation:
         delivered, attempted = self._steady_phase()
         self.last_delivered, self.last_attempted = delivered, attempted
         self.delivered_total += delivered
-        self.attempted_total += attempted
         return RoundMetrics(
             round=self.round,
             dead_count=self.config.n - self.net.alive_count(),

@@ -1,13 +1,6 @@
 import pytest
 
-from least_sim import ControlMessage, Network, Point, SensorNode
-
-
-def make_nodes(positions, energy=1.0):
-    return [
-        SensorNode(id=i, pos=Point(x, y), energy=energy)
-        for i, (x, y) in enumerate(positions, start=1)
-    ]
+from least_sim import ControlMessage, Network, Point
 
 
 def checked(messages):
@@ -22,7 +15,10 @@ def to_lines(tree):
 
 
 def make_net(positions, energy=1.0, bs=(50.0, 50.0)):
-    return Network(make_nodes(positions, energy), Point(*bs))
+    """Sensors 1..n at ``positions``, each holding ``energy`` (or its own
+    entry when ``energy`` is a list)."""
+    energies = energy if isinstance(energy, list) else [energy] * len(positions)
+    return Network(list(positions), Point(*bs), energies)
 
 
 @pytest.fixture

@@ -37,7 +37,7 @@ from least_sim import (
 from least_sim.cli import sweep_phn
 from least_sim.simulator import metrics_csv
 
-from conftest import FIVE_POSITIONS, checked, make_net, make_nodes
+from conftest import FIVE_POSITIONS, checked, make_net
 from trace_oracle import leach_trace, least_round_trace
 
 SEEDS = list(range(1, 31))
@@ -309,7 +309,7 @@ def test_criterion_7_oracle_equivalence():
 
     sim = Simulation(
         replace(PAPER_CONFIG, n=5, seed=7, protocol="least"),
-        nodes=make_nodes(FIVE_POSITIONS, energy=0.1),
+        net=make_net(FIVE_POSITIONS, energy=0.1),
     )
     m1 = sim.run_round()
     if abs(m1.setup_energy - 0.0013425) > 1e-12 or abs(m1.steady_energy - 0.0014325) > 1e-12:
@@ -318,8 +318,7 @@ def test_criterion_7_oracle_equivalence():
     rng = random.Random(2)
     for _ in range(10):
         xy = [(rng.uniform(0, 100), rng.uniform(0, 100)) for _ in range(30)]
-        nodes = make_nodes(xy)
-        got_stats = network_stats(nodes)
+        got_stats = network_stats(xy)
         import math
 
         pair_sum, count = 0.0, 0

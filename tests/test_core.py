@@ -10,14 +10,14 @@ from least_sim import (
     Network,
     Point,
     RandomStream,
-    SensorNode,
     SimConfig,
     charge,
     network_stats,
     place_nodes,
     uniform_choice,
 )
-from conftest import make_net, make_nodes
+from least_sim.energy import DeadNodeError
+from conftest import make_net
 
 
 def bernoulli(stream, p):
@@ -165,42 +165,35 @@ def test_dist_equals_hypot_bit_for_bit(a, b, c, d):
 # -- node state ---------------------------------------------------------
 
 def test_node_born_dead_at_zero_energy():
-    node = SensorNode(id=1, pos=Point(0, 0), energy=0.0)
-    assert not node.alive
+    net = make_net([(0, 0), (1, 1), (2, 2)], energy=[1.0, 0.0, 1.0])
+    assert net.energy[2] == 0.0
+    assert net.alive_ids() == [1, 3]
+    with pytest.raises(DeadNodeError):
+        charge(net, 2, 0.0)
 
 
 def test_node_rejects_bad_ids_and_energy():
-    with pytest.raises(ValueError):
-        SensorNode(id=0, pos=Point(0, 0), energy=1.0)
-    with pytest.raises(ValueError):
-        SensorNode(id=1, pos=Point(0, 0), energy=-1.0)
+    with pytest.raises(ValueError, match="finite and >= 0"):
+        make_net([(0, 0), (1, 1)], energy=[1.0, -1.0])
 
 
 # -- network statistics --------------------------------------------------
 
 def test_stats_single_pair():
-    s = network_stats(make_nodes([(0, 0), (3, 4)]))
+    s = network_stats([(0, 0), (3, 4)])
     assert s.d_bar == 5.0
     assert s.d_bar_max == 5.0
 
 
 def test_stats_three_collinear():
-    s = network_stats(make_nodes([(0, 0), (1, 0), (2, 0)]))
+    s = network_stats([(0, 0), (1, 0), (2, 0)])
     assert s.d_bar == pytest.approx(4.0 / 3.0, rel=1e-12)
     assert s.d_bar_max == pytest.approx(5.0 / 3.0, rel=1e-12)
 
 
 def test_stats_needs_two_nodes():
     with pytest.raises(ValueError):
-        network_stats(make_nodes([(1, 1)]))
-
-
-def test_stats_alive_only_filter():
-    nodes = make_nodes([(0, 0), (3, 4), (6, 8)])
-    nodes[2].energy = 0.0
-    nodes[2].alive = False
-    assert network_stats(nodes).d_bar == 5.0
-    assert network_stats(nodes, alive_only=False).d_bar == pytest.approx(20.0 / 3.0)
+        network_stats([(1, 1)])
 
 
 def test_stats_match_numpy_brute_force():
@@ -208,8 +201,7 @@ def test_stats_match_numpy_brute_force():
     rng = np.random.default_rng(7)
     for size in (3, 10, 50):
         xy = rng.uniform(0, 100, size=(size, 2))
-        nodes = make_nodes([tuple(row) for row in xy])
-        got = network_stats(nodes)
+        got = network_stats([tuple(row) for row in xy])
         diff = xy[:, None, :] - xy[None, :, :]
         dmat = np.sqrt((diff**2).sum(axis=2))
         iu = np.triu_indices(size, k=1)
@@ -228,14 +220,13 @@ def test_stats_uniform_square_monte_carlo():
     seeds = 1000
     for _ in range(seeds):
         xy = rng.uniform(0, 100, size=(100, 2))
-        nodes = make_nodes([tuple(row) for row in xy])
-        total += network_stats(nodes).d_bar
+        total += network_stats([tuple(row) for row in xy]).d_bar
     assert abs(total / seeds - 52.14) < 2.0
 
 
-def reference_stats(nodes, alive_only):
+def reference_stats(positions):
     """The pair loop over Point attributes and math.hypot, kept as an oracle."""
-    pts = [n.pos for n in nodes if n.alive or not alive_only]
+    pts = [Point(x, y) for x, y in positions]
     m = len(pts)
     pair_sum = 0.0
     far = [0.0] * m
@@ -251,37 +242,48 @@ def reference_stats(nodes, alive_only):
     return pair_sum / (m * (m - 1) / 2), sum(far) / m
 
 
-@pytest.mark.parametrize("alive_only", [True, False])
-def test_stats_equal_hypot_reference_exactly(alive_only):
-    nodes = place_nodes(SimConfig(n=300), RandomStream(17))
-    for node in nodes[::7]:
-        node.energy = 0.0
-        node.alive = False
-    s = network_stats(nodes, alive_only=alive_only)
-    assert (s.d_bar, s.d_bar_max) == reference_stats(nodes, alive_only)
+def test_stats_equal_hypot_reference_exactly():
+    positions = place_nodes(SimConfig(n=300), RandomStream(17))
+    s = network_stats(positions)
+    assert (s.d_bar, s.d_bar_max) == reference_stats(positions)
     # one rounding step in a pair is lost in a field-wide sum, but a lone
     # pair's statistics are its distance itself
-    for pair in zip(nodes, nodes[1:]):
-        if all(n.alive for n in pair) or not alive_only:
-            s = network_stats(pair, alive_only=alive_only)
-            assert (s.d_bar, s.d_bar_max) == reference_stats(pair, alive_only)
+    for pair in zip(positions, positions[1:]):
+        s = network_stats(pair)
+        assert (s.d_bar, s.d_bar_max) == reference_stats(pair)
 
 
 def test_stats_bounds_invariant():
     rng = np.random.default_rng(3)
     for _ in range(20):
         xy = rng.uniform(0, 50, size=(12, 2))
-        s = network_stats(make_nodes([tuple(row) for row in xy]))
+        s = network_stats([tuple(row) for row in xy])
         assert 0 <= s.d_bar <= s.d_bar_max
 
 
 # -- Network container ----------------------------------------------------
 
 def test_network_requires_contiguous_ids():
-    nodes = make_nodes([(0, 0), (1, 1)])
-    nodes[1] = SensorNode(id=5, pos=Point(1, 1), energy=1.0)
-    with pytest.raises(ValueError):
-        Network(nodes, Point(0, 0))
+    # ids are list positions, so one energy per position is the whole rule
+    with pytest.raises(ValueError, match="2 positions but 3 energies"):
+        Network([(0, 0), (1, 1)], Point(0, 0), [1.0, 1.0, 1.0])
+    with pytest.raises(ValueError, match="2 positions but 1 energies"):
+        Network([(0, 0), (1, 1)], Point(0, 0), [1.0])
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_network_rejects_non_finite_coordinates(bad):
+    for positions in ([(bad, 0.0), (1.0, 1.0)], [(0.0, 0.0), (1.0, bad)]):
+        with pytest.raises(ValueError, match="coordinates must be finite"):
+            Network(positions, Point(0, 0), [1.0, 1.0])
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0, -1e-300])
+def test_network_rejects_bad_energies(bad):
+    # a NaN would be neither alive (> 0) nor dead (== 0.0)
+    for energies in ([bad, 1.0], [1.0, bad]):
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            Network([(0.0, 0.0), (1.0, 1.0)], Point(0, 0), energies)
 
 
 def test_network_distance_table(five_net):
@@ -292,8 +294,9 @@ def test_network_distance_table(five_net):
 
 def test_network_table_equals_hypot_reference():
     cfg = SimConfig(n=300)
-    net = Network(place_nodes(cfg, RandomStream(17)), cfg.bs_pos)
-    pts = [cfg.bs_pos] + [node.pos for node in net.nodes[1:]]
+    positions = place_nodes(cfg, RandomStream(17))
+    net = Network(positions, cfg.bs_pos, [1.0] * cfg.n)
+    pts = [cfg.bs_pos] + [Point(x, y) for x, y in positions]
     ids = range(len(pts))
     for a, p in enumerate(pts):
         expected = [math.hypot(p.x - q.x, p.y - q.y) for q in pts]

@@ -7,11 +7,8 @@ from least_sim import (
     ControlMessage,
     EnergyLedger,
     EnergyParams,
-    Network,
-    Point,
     ProtocolParams,
     RandomStream,
-    SensorNode,
     apply_messages,
     charge,
     leach_setup,
@@ -48,8 +45,8 @@ def test_energy_params_validation():
 def test_charge_basic_arithmetic():
     net = make_net([(0, 0)], energy=0.1)
     assert charge(net, 1, 0.04) == pytest.approx(0.04)
-    assert net.node(1).energy == pytest.approx(0.06)
-    assert net.node(1).alive
+    assert net.energy[1] == pytest.approx(0.06)
+    assert net.energy[1] > 0
 
 
 def test_charge_clamps_and_kills():
@@ -57,8 +54,7 @@ def test_charge_clamps_and_kills():
     ledger = EnergyLedger()
     spent = charge(net, 1, 0.05, ledger)
     assert spent == pytest.approx(0.03)
-    assert net.node(1).energy == 0.0
-    assert not net.node(1).alive
+    assert net.energy[1] == 0.0
     assert net.alive_count() == 0
     assert ledger.total() == pytest.approx(0.03)
 
@@ -66,7 +62,7 @@ def test_charge_clamps_and_kills():
 def test_charge_zero_is_identity():
     net = make_net([(0, 0)], energy=0.5)
     assert charge(net, 1, 0.0) == 0.0
-    assert net.node(1).energy == 0.5
+    assert net.energy[1] == 0.5
 
 
 def test_charge_dead_node_is_an_error():
@@ -86,7 +82,7 @@ def test_apply_single_announcement():
     net = make_net([(0, 0)], energy=1.0)
     msg = ControlMessage("ch_announce", 1, 20.0)
     apply_messages(net, [msg], EnergyParams(epsilon_amp=1e-6))
-    assert net.node(1).energy == pytest.approx(1.0 - 4e-4)
+    assert net.energy[1] == pytest.approx(1.0 - 4e-4)
 
 
 def test_bs_messages_are_free(five_net):
@@ -103,8 +99,8 @@ def test_apply_skips_senders_dead_earlier_in_log():
         ControlMessage("join_request", 1, 100.0, receiver=2),  # never transmitted
     ]
     apply_messages(net, msgs, EnergyParams(epsilon_amp=1.0))
-    assert not net.node(1).alive
-    assert net.node(2).alive
+    assert net.energy[1] == 0.0
+    assert net.energy[2] > 0
 
 
 def test_ledger_matches_brute_force_sum(line10_net):
@@ -125,11 +121,11 @@ def test_conservation_and_monotonicity_across_rounds():
     cfg = SimConfig(protocol="least", seed=6, n=25, initial_energy=0.01, max_rounds=60)
     sim = Simulation(cfg)
     initial = sim.net.total_energy()
-    last_per_node = {i: sim.net.node(i).energy for i in range(1, 26)}
+    last_per_node = {i: sim.net.energy[i] for i in range(1, 26)}
     while sim.net.alive_count() > 0 and sim.round < 60:
         sim.run_round()
         for i in range(1, 26):
-            e = sim.net.node(i).energy
+            e = sim.net.energy[i]
             assert e <= last_per_node[i] + 1e-15  # never increases
             last_per_node[i] = e
         drop = initial - sim.net.total_energy()
@@ -153,8 +149,8 @@ def test_rx_pricing_point_to_point():
     params = EnergyParams(epsilon_amp=0.0, rx_cost=0.01)
     msg = ControlMessage("join_request", 1, 5.0, receiver=2)
     apply_messages(net, [msg], params)
-    assert net.node(1).energy == 1.0
-    assert net.node(2).energy == pytest.approx(0.99)
+    assert net.energy[1] == 1.0
+    assert net.energy[2] == pytest.approx(0.99)
 
 
 def test_rx_pricing_broadcast_radius():
@@ -163,8 +159,8 @@ def test_rx_pricing_broadcast_radius():
     params = EnergyParams(epsilon_amp=0.0, rx_cost=0.01)
     msg = ControlMessage("ch_announce", 1, 10.0)
     apply_messages(net, [msg], params)
-    assert net.node(2).energy == pytest.approx(0.99)
-    assert net.node(3).energy == 1.0
+    assert net.energy[2] == pytest.approx(0.99)
+    assert net.energy[3] == 1.0
 
 
 def test_ledger_setup_steady_split():
@@ -190,12 +186,12 @@ def reference_apply(net, messages, params, ledger):
     eps, rx_cost = params.epsilon_amp, params.rx_cost
     for _, sender, d, packets, receiver in messages:
         if sender != 0:
-            if not net.node(sender).alive:
+            if net.energy[sender] == 0.0:
                 continue
             charge(net, sender, eps * d * d * packets, ledger)
         if rx_cost > 0.0 and packets > 0:
             if receiver is not None:
-                if receiver != 0 and net.node(receiver).alive:
+                if receiver != 0 and net.energy[receiver] > 0:
                     charge(net, receiver, rx_cost * packets, ledger)
             else:
                 for nid in net.alive_ids():
@@ -224,12 +220,6 @@ def charging_cases(draw):
     return positions, energies, log, rx_cost, bucket
 
 
-def net_with_energies(positions, energies):
-    nodes = [SensorNode(id=i, pos=Point(x, y), energy=e)
-             for i, ((x, y), e) in enumerate(zip(positions, energies), start=1)]
-    return Network(nodes, Point(50.0, 50.0))
-
-
 def ledger_fields(ledger):
     return (ledger.round_setup, ledger.setup_total, ledger.round_steady, ledger.steady_total)
 
@@ -239,7 +229,7 @@ def ledger_fields(ledger):
 def test_inline_charging_equals_charge_calls(case):
     positions, energies, log, rx_cost, bucket = case
     params = EnergyParams(epsilon_amp=2.0**-30, rx_cost=rx_cost)
-    got_net, want_net = net_with_energies(positions, energies), net_with_energies(positions, energies)
+    got_net, want_net = make_net(positions, energies), make_net(positions, energies)
     got_ledger, want_ledger = EnergyLedger(), EnergyLedger()
     for ledger in (got_ledger, want_ledger):
         ledger.record(3e-7)  # a ledger that already holds an earlier charge
@@ -248,8 +238,8 @@ def test_inline_charging_equals_charge_calls(case):
     apply_messages(got_net, log, params, got_ledger)
     reference_apply(want_net, log, params, want_ledger)
     ids = range(1, len(positions) + 1)
-    assert [got_net.node(i).energy for i in ids] == [want_net.node(i).energy for i in ids]
-    assert [got_net.node(i).alive for i in ids] == [want_net.node(i).alive for i in ids]
+    assert [got_net.energy[i] for i in ids] == [want_net.energy[i] for i in ids]
+    assert [got_net.energy[i] > 0 for i in ids] == [want_net.energy[i] > 0 for i in ids]
     assert got_net.alive_ids() == want_net.alive_ids()
     assert ledger_fields(got_ledger) == ledger_fields(want_ledger)
 
@@ -266,7 +256,7 @@ def test_apply_rejects_malformed_records():
             apply_messages(net, [first, record], params, ledger)
         # the record before the bad one was charged and is in the ledger
         spent = params.epsilon_amp * 10.0 * 10.0
-        assert (net.node(1).energy, net.node(2).energy) == (1.0, 1.0 - spent)
+        assert (net.energy[1], net.energy[2]) == (1.0, 1.0 - spent)
         assert ledger.total() == spent
 
 
@@ -275,4 +265,22 @@ def test_apply_rejects_unknown_senders():
     for sender in (-1, 3):
         with pytest.raises(KeyError, match="unknown sensor id"):
             apply_messages(net, [("ch_announce", sender, 1.0, 1, None)], EnergyParams())
-    assert [net.node(i).energy for i in (1, 2)] == [1.0, 1.0]
+    assert [net.energy[i] for i in (1, 2)] == [1.0, 1.0]
+
+
+def test_charge_rejects_ids_outside_the_sensors():
+    # a bare list index would charge the base station's slot or wrap -1 to sensor n
+    net = make_net([(0, 0), (3, 4)])
+    for node_id in (0, -1, 3):
+        with pytest.raises(KeyError, match="unknown sensor id"):
+            charge(net, node_id, 0.1)
+    assert net.energy == [0.0, 1.0, 1.0]
+
+
+def test_apply_rejects_unknown_receivers():
+    params = EnergyParams(epsilon_amp=0.0, rx_cost=0.01)
+    for receiver in (-1, 3):
+        net = make_net([(0, 0), (3, 4)])
+        with pytest.raises(KeyError, match="unknown sensor id"):
+            apply_messages(net, [("join_request", 1, 5.0, 1, receiver)], params)
+        assert net.energy == [0.0, 1.0, 1.0]

@@ -183,7 +183,7 @@ def test_hosts_single_eligible_forced_by_fallback(five_net):
     for c in (1, 3, 4, 5):
         tree.attach(c, 2)
     for c in (1, 3, 4):
-        five_net.node(c).last_hn_round = 1  # inside the huge rotation window
+        five_net.last_hn[c] = 1  # inside the huge rotation window
     hosts, _ = elect_host_nodes(five_net, tree, ProtocolParams(p_hn=0.001), 2, RandomStream(6))
     assert hosts == [5]
 
@@ -194,7 +194,7 @@ def test_hosts_respect_rotation_window(five_net):
     for c in (1, 3, 4, 5):
         tree.attach(c, 2)
     for c in (1, 3, 4):
-        five_net.node(c).last_hn_round = 1  # still inside the window at round 2
+        five_net.last_hn[c] = 1  # still inside the window at round 2
     hosts, _ = elect_host_nodes(five_net, tree, ProtocolParams(p_hn=1.0), 2, RandomStream(1))
     assert hosts == [5]
 
@@ -205,7 +205,7 @@ def test_hn_window_override_changes_eligibility(five_net):
     for c in (1, 3, 4, 5):
         tree.attach(c, 2)
     for c in (1, 3, 4, 5):
-        five_net.node(c).last_hn_round = 1
+        five_net.last_hn[c] = 1
     # default window 5 blocks everyone at round 2; a zero window blocks nobody
     with pytest.raises(ProtocolStallError):
         elect_host_nodes(five_net, tree, ProtocolParams(p_hn=1.0), 2, RandomStream(1))

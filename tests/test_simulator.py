@@ -16,7 +16,6 @@ from least_sim import (
     ProtocolParams,
     RandomStream,
     RoutingTree,
-    SensorNode,
     SetupOutcome,
     SimConfig,
     Simulation,
@@ -28,48 +27,48 @@ from least_sim import (
 from least_sim.cli import parse_config, sweep_phn
 from least_sim.simulator import METRICS_HEADER, metrics_csv
 
-from conftest import FIVE_POSITIONS, make_nodes
+from conftest import FIVE_POSITIONS, make_net
 from trace_oracle import steady_trace
 
 
 def five_sim(protocol="leach", **overrides):
     cfg = SimConfig(n=5, protocol=protocol, seed=7, initial_energy=0.1, **overrides)
-    return Simulation(cfg, nodes=make_nodes(FIVE_POSITIONS, energy=0.1))
+    return Simulation(cfg, net=make_net(FIVE_POSITIONS, energy=0.1))
 
 
 # -- placement -----------------------------------------------------------
 
 def test_place_single_node():
     cfg = SimConfig(n=1, initial_energy=0.25)
-    nodes = place_nodes(cfg, RandomStream(1))
-    assert len(nodes) == 1
-    assert nodes[0].id == 1
-    assert nodes[0].energy == 0.25
-    assert nodes[0].alive
+    positions = place_nodes(cfg, RandomStream(1))
+    assert len(positions) == 1
+    sim = Simulation(cfg)
+    assert sim.net.energy[1] == 0.25
+    assert sim.net.alive_ids() == [1]
 
 
 def test_place_is_deterministic_and_in_bounds():
     cfg = SimConfig(n=50, area_w=80.0, area_h=60.0)
     a = place_nodes(cfg, RandomStream(42))
     b = place_nodes(cfg, RandomStream(42))
-    assert [(n.pos.x, n.pos.y) for n in a] == [(n.pos.x, n.pos.y) for n in b]
-    assert all(0 <= n.pos.x <= 80 and 0 <= n.pos.y <= 60 for n in a)
+    assert a == b
+    assert all(0 <= x <= 80 and 0 <= y <= 60 for x, y in a)
 
 
 def test_place_draw_order_x_then_y():
     cfg = SimConfig(n=2, area_w=100.0, area_h=100.0)
-    nodes = place_nodes(cfg, RandomStream(8))
+    positions = place_nodes(cfg, RandomStream(8))
     s = RandomStream(8)
     want = [s.uniform(0, 100) for _ in range(4)]
-    assert [nodes[0].pos.x, nodes[0].pos.y, nodes[1].pos.x, nodes[1].pos.y] == want
+    assert [*positions[0], *positions[1]] == want
 
 
 def test_place_moment_oracle():
     """Coordinate means of a large placement sit at the area center."""
     cfg = SimConfig(n=10_000)
-    nodes = place_nodes(cfg, RandomStream(99))
-    mx = sum(n.pos.x for n in nodes) / len(nodes)
-    my = sum(n.pos.y for n in nodes) / len(nodes)
+    positions = place_nodes(cfg, RandomStream(99))
+    mx = sum(x for x, _ in positions) / len(positions)
+    my = sum(y for _, y in positions) / len(positions)
     assert abs(mx - 50.0) < 1.0 and abs(my - 50.0) < 1.0
 
 
@@ -84,8 +83,7 @@ def test_round_no_traffic_means_no_steady_energy():
 
 def test_round_single_node_one_hop():
     cfg = SimConfig(n=1, seed=3, initial_energy=0.1, protocol="leach")
-    nodes = [SensorNode(id=1, pos=Point(50.0, 30.0), energy=0.1)]
-    sim = Simulation(cfg, nodes=nodes)
+    sim = Simulation(cfg, net=make_net([(50.0, 30.0)], energy=0.1))
     m = sim.run_round()
     # announcement reaches nobody (distance 0); steady is one 20 m hop to the BS
     assert m.setup_energy == 0.0
@@ -153,11 +151,11 @@ def reference_steady(sim):
     delivered = attempted = 0
     for sender in senders:
         attempted += packets
-        if not net.node(sender).alive:
+        if net.energy[sender] == 0.0:
             continue
         path = sim.tree.path_to_root(sender)
         for fwd, nxt in zip(path, path[1:]):
-            if not net.node(fwd).alive:
+            if net.energy[fwd] == 0.0:
                 break
             cost = tx_cost(net.dist(fwd, nxt), packets, cfg.energy)
             if charge(net, fwd, cost, sim.ledger) < cost:
@@ -171,8 +169,8 @@ def sim_state(sim):
     """Everything the steady phase may touch, for ``==`` comparison."""
     ids, ledger = range(1, sim.config.n + 1), sim.ledger
     return {
-        "energy": [sim.net.node(i).energy for i in ids],
-        "alive": [sim.net.node(i).alive for i in ids],
+        "energy": [sim.net.energy[i] for i in ids],
+        "alive": [sim.net.energy[i] > 0 for i in ids],
         "alive_ids": sim.net.alive_ids(),
         "stream": sim.stream._state,
         "ledger": (ledger.round_setup, ledger.setup_total, ledger.round_steady, ledger.steady_total),
@@ -202,11 +200,11 @@ def steady_cases(draw):
         exact = eps * d * d * packets
         choice = draw(st.sampled_from(["keep", "exact", "tiny", "float"]))
         if choice == "exact" and exact > 0:
-            sim.net.node(i).energy = exact
+            sim.net.energy[i] = exact
         elif choice == "tiny":
-            sim.net.node(i).energy = draw(st.sampled_from([2.0**-22, 1e-7, 3e-6, 1e-5]))
+            sim.net.energy[i] = draw(st.sampled_from([2.0**-22, 1e-7, 3e-6, 1e-5]))
         elif choice == "float":
-            sim.net.node(i).energy = draw(st.floats(1e-9, 1e-3))
+            sim.net.energy[i] = draw(st.floats(1e-9, 1e-3))
     sim.ledger.bucket = "steady"
     return sim
 
@@ -228,16 +226,15 @@ def test_steady_phase_matches_oracle(sim):
     with the package; the senders come from the package's own draw."""
     net = sim.net
     senders = copy.deepcopy(sim)._select_senders(net.alive_ids())
-    pos = {0: (net.bs_pos.x, net.bs_pos.y)}
-    pos.update((i, (net.node(i).pos.x, net.node(i).pos.y)) for i in range(1, net.n + 1))
-    energy = {i: net.node(i).energy for i in range(1, net.n + 1)}
+    pos = dict(enumerate(net.table[0]))  # the base station at 0, then sensors 1..n
+    energy = {i: net.energy[i] for i in range(1, net.n + 1)}
     packets = sim.config.packets_per_sender
     total, delivered = steady_trace(pos, energy, sim.tree.parent_map(), senders, packets,
                                     sim.config.energy.epsilon_amp)
     sim.ledger.start_round()
     sim.ledger.bucket = "steady"
     assert sim._steady_phase() == (delivered, packets * len(senders))
-    assert [net.node(i).energy for i in range(1, net.n + 1)] == list(energy.values())
+    assert [net.energy[i] for i in range(1, net.n + 1)] == list(energy.values())
     assert sim.ledger.round_steady == total
 
 
@@ -245,9 +242,8 @@ def chain_sim(energies):
     """Sensors 16 m apart on a vertical line below the BS, each routed through
     the one above it; with epsilon 2**-30 every hop costs exactly 2**-22 J."""
     cfg = SimConfig(n=len(energies), protocol="least", energy=EnergyParams(epsilon_amp=2.0**-30))
-    nodes = [SensorNode(id=i, pos=Point(50.0, 50.0 - 16.0 * i), energy=e)
-             for i, e in enumerate(energies, start=1)]
-    sim = Simulation(cfg, nodes=nodes)
+    positions = [(50.0, 50.0 - 16.0 * i) for i in range(1, len(energies) + 1)]
+    sim = Simulation(cfg, net=make_net(positions, list(energies)))
     sim.tree = RoutingTree()
     sim.tree.attach_all((i, i - 1) for i in range(1, len(energies) + 1))
     return sim
@@ -259,7 +255,7 @@ def test_forwarder_dying_at_exactly_zero_still_delivers(monkeypatch):
     monkeypatch.setattr(sim, "_run_setup", lambda: SetupOutcome(sim.tree))
     m = sim.run_round()
     # sensor 1 sends its own packet, then forwards sensor 2's with exactly hop left
-    assert not sim.net.node(1).alive and sim.net.node(1).energy == 0.0
+    assert sim.net.energy[1] == 0.0 and sim.net.energy[1] == 0.0
     assert sim.net.alive_ids() == [2]
     assert sim.last_delivered == 2
     assert m.steady_energy == sim.ledger.round_steady == hop + hop + hop
@@ -273,7 +269,7 @@ def test_alive_sender_missing_from_map_raises():
         sim._steady_phase()
     # senders 1 and 2 were charged and recorded; sensor 3 paid nothing
     hop = 2.0**-22
-    assert [sim.net.node(i).energy for i in (1, 2, 3)] == [1.0 - hop - hop, 1.0 - hop, 1.0]
+    assert [sim.net.energy[i] for i in (1, 2, 3)] == [1.0 - hop - hop, 1.0 - hop, 1.0]
     assert sim.ledger.total() == sim.initial_total - sim.net.total_energy() == 3 * hop
 
 
@@ -336,6 +332,42 @@ def test_leach_runs_match_golden_digests():
             assert got == digests[f"{name}/simulate/leach_seed{seed}.csv"], (name, seed)
 
 
+def test_injected_network_must_match_config_n():
+    # at n = 5 a 3-sensor network would report 2 dead sensors while all live
+    with pytest.raises(ValueError, match="3 sensors but the config has n = 5"):
+        Simulation(SimConfig(n=5), net=make_net(FIVE_POSITIONS[:3]))
+
+
+@st.composite
+def dying_configs(draw):
+    """Small fields on low batteries: sensors die sending setup messages, on
+    their steady-phase hops and, with reception priced, on receiving."""
+    return SimConfig(
+        n=draw(st.integers(1, 10)), protocol=draw(st.sampled_from(["leach", "least"])),
+        seed=draw(st.integers(0, 999)),
+        area_w=draw(st.sampled_from([30.0, 100.0])), area_h=draw(st.sampled_from([30.0, 100.0])),
+        initial_energy=draw(st.sampled_from([2e-5, 2e-4, 1e-3])),
+        traffic_fraction=draw(st.sampled_from([0.0, 0.5, 1.0])),
+        energy=EnergyParams(rx_cost=draw(st.sampled_from([0.0, 1e-6, 2e-5]))),
+        max_rounds=80,
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(dying_configs())
+def test_alive_list_agrees_with_energy_through_whole_runs(cfg):
+    sim = Simulation(cfg)
+    net, ids = sim.net, range(1, cfg.n + 1)
+    before = list(net.energy)
+    while net.alive_count() and sim.round < cfg.max_rounds:
+        m = sim.run_round()
+        assert net.alive_ids() == [i for i in ids if net.energy[i] > 0]
+        assert all(math.isfinite(e) and e >= 0 for e in net.energy)
+        assert all(e <= was for e, was in zip(net.energy, before))
+        assert m.dead_count == cfg.n - len(net.alive_ids())
+        before = list(net.energy)
+
+
 def test_round_requires_alive_nodes():
     from least_sim.simulator import SimulationError
 
@@ -361,7 +393,7 @@ def test_dead_first_level_orphans_become_first_level():
 def test_least_stall_keeps_map():
     # a lone sensor can never elect a host node; rounds must still complete
     cfg = SimConfig(n=1, seed=5, initial_energy=0.1, protocol="least")
-    sim = Simulation(cfg, nodes=[SensorNode(id=1, pos=Point(30.0, 50.0), energy=0.1)])
+    sim = Simulation(cfg, net=make_net([(30.0, 50.0)], energy=0.1))
     m1 = sim.run_round()
     m2 = sim.run_round()
     assert m2.setup_energy == 0.0  # stalled: no control traffic
@@ -456,13 +488,14 @@ def test_run_byte_identical_per_seed():
 # -- distance table reuse -------------------------------------------------------
 
 def test_table_shared_only_for_equal_positions():
-    a = Network(make_nodes(FIVE_POSITIONS), Point(50.0, 50.0))
-    b = Network(make_nodes(FIVE_POSITIONS), Point(50.0, 50.0), a.table)
+    ones = [1.0] * len(FIVE_POSITIONS)
+    a = Network(FIVE_POSITIONS, Point(50.0, 50.0), ones)
+    b = Network(FIVE_POSITIONS, Point(50.0, 50.0), ones, a.table)
     assert b._dist is a._dist and b.table is a.table
     moved = FIVE_POSITIONS[:-1] + [(55.0, 45.5)]
-    for net in (Network(make_nodes(moved), Point(50.0, 50.0), a.table),
-                Network(make_nodes(FIVE_POSITIONS), Point(0.0, 50.0), a.table)):
-        fresh = Network(net.nodes[1:], net.bs_pos)
+    for positions, bs in ((moved, Point(50.0, 50.0)), (FIVE_POSITIONS, Point(0.0, 50.0))):
+        net = Network(positions, bs, ones, a.table)
+        fresh = Network(positions, bs, ones)
         assert net._dist is not a._dist and net._dist == fresh._dist
 
 
@@ -502,6 +535,29 @@ def test_sweep_duplicate_values_identical():
 def test_sweep_requires_values():
     with pytest.raises(ValueError):
         sweep_phn(SimConfig(), [], [1])
+
+
+def test_sweep_runs_a_repeated_value_once_per_seed(monkeypatch):
+    from least_sim import cli
+
+    made = []
+
+    class CountingSimulation(Simulation):
+        def __init__(self, config, *args, **kwargs):
+            made.append(config.params.p_hn)
+            super().__init__(config, *args, **kwargs)
+
+    monkeypatch.delenv("LEAST_SIM_THREADS", raising=False)
+    monkeypatch.setattr(cli, "Simulation", CountingSimulation)
+    base = SimConfig(n=10, seed=0, initial_energy=0.005, protocol="least", max_rounds=300)
+    rows = sweep_phn(base, [0.2, 0.2], [1, 2, 3])
+    assert made == [0.2] * 3
+    assert rows == [(0.2, rows[0][1])] * 2
+    made.clear()
+    rows = sweep_phn(base, [0.3, 0.2, 0.3], [1, 2, 3])
+    assert made == [0.3, 0.2] * 3
+    assert rows == [sweep_phn(base, [0.3], [1, 2, 3])[0], sweep_phn(base, [0.2], [1, 2, 3])[0],
+                    sweep_phn(base, [0.3], [1, 2, 3])[0]]
 
 
 # -- CSV emission ----------------------------------------------------------------
