@@ -2,17 +2,8 @@
 
 __version__ = "0.1.0"
 
-from .analysis import PowerEstimate, compare_estimates, estimate_leach, estimate_least
-from .core import (
-    BS_ID,
-    Network,
-    NetworkStats,
-    Point,
-    RandomStream,
-    network_stats,
-    uniform_choice,
-)
-from .energy import EnergyLedger, EnergyParams, apply_messages, charge, tx_cost
+from .core import Network, Point, RandomStream, network_stats
+from .energy import EnergyParams, EnergyTally, apply_messages
 from .protocols import (
     ControlMessage,
     ProtocolParams,
@@ -23,7 +14,6 @@ from .protocols import (
     leach_setup,
     least_setup,
     relocate,
-    rotation_eligible,
 )
 from .simulator import (
     LifetimeSummary,
@@ -33,18 +23,15 @@ from .simulator import (
     place_nodes,
     run,
 )
-from .tree import RoutingTree, Violation
+from .tree import RoutingTree
 
 __all__ = [
-    "BS_ID",
     "ControlMessage",
-    "EnergyLedger",
     "EnergyParams",
+    "EnergyTally",
     "LifetimeSummary",
     "Network",
-    "NetworkStats",
     "Point",
-    "PowerEstimate",
     "ProtocolParams",
     "ProtocolStallError",
     "RandomStream",
@@ -53,21 +40,13 @@ __all__ = [
     "SetupOutcome",
     "SimConfig",
     "Simulation",
-    "Violation",
     "apply_messages",
-    "charge",
-    "compare_estimates",
     "elect_heirs",
     "elect_host_nodes",
-    "estimate_leach",
-    "estimate_least",
     "leach_setup",
     "least_setup",
     "network_stats",
     "place_nodes",
     "relocate",
-    "rotation_eligible",
     "run",
-    "tx_cost",
-    "uniform_choice",
 ]

@@ -97,7 +97,7 @@ def network_stats(positions) -> NetworkStats:
 
 
 class Network:
-    """Sensor field: per-id run state, plus the base station position.
+    """Sensor field: per-id run state; the base station is at id 0.
 
     ``energy``, ``last_ch`` and ``last_hn`` are lists indexed by sensor id
     (1..n; slot 0, the mains-powered base station's, holds 0.0 and None). A
@@ -121,7 +121,6 @@ class Network:
             raise ValueError("sensor coordinates must be finite")
         if not all(map(math.isfinite, energies)) or min(energies, default=0.0) < 0:
             raise ValueError("initial energies must be finite and >= 0")
-        self.bs_pos = bs_pos
         self.n = n = len(positions)
         if table is None or table[0] != xy:
             table = (xy, [list(map(math.dist, repeat(p), xy)) for p in xy])

@@ -25,54 +25,31 @@ class EnergyParams:
     rx_cost: float = 0.0        # J per received packet
 
     def __post_init__(self):
-        if self.epsilon_amp < 0 or self.rx_cost < 0:
-            raise ValueError("energy coefficients must be >= 0")
-        if not (math.isfinite(self.epsilon_amp) and math.isfinite(self.rx_cost)):
-            raise ValueError("energy coefficients must be finite")
+        for name in ("epsilon_amp", "rx_cost"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and >= 0: {value}")
 
 
-class EnergyLedger:
-    """Cumulative spend, split into setup and steady energy, per round and in all.
+class EnergyTally:
+    """Energy spent in one phase: in the current round and in the whole run.
 
-    The ledger only observes charges; conservation (initial total minus
-    current total equals the ledger total) is an invariant the tests check.
+    A tally only observes charges; which phase a spend belongs to is which
+    tally it is added to. Conservation (initial total minus current total
+    equals the sum of the tallies' totals) is an invariant the tests check.
     """
 
     def __init__(self):
-        self.bucket = "setup"
-        self.round_setup = 0.0
-        self.round_steady = 0.0
-        self.setup_total = 0.0
-        self.steady_total = 0.0
+        self.round = 0.0
+        self.total = 0.0
 
-    def start_round(self):
-        self.round_setup = 0.0
-        self.round_steady = 0.0
-        self.bucket = "setup"
-
-    def record(self, amount: float):
-        if self.bucket == "setup":
-            self.round_setup += amount
-            self.setup_total += amount
-        else:
-            self.round_steady += amount
-            self.steady_total += amount
-
-    def record_all(self, amounts) -> None:
-        """``record`` each amount in turn: float sums depend on their order."""
-        setup = self.bucket == "setup"
-        part, whole = ((self.round_setup, self.setup_total) if setup
-                       else (self.round_steady, self.steady_total))
+    def add(self, amounts) -> None:
+        """Add each amount in turn: float sums depend on their order."""
+        part, whole = self.round, self.total
         for amount in amounts:
             part += amount
             whole += amount
-        if setup:
-            self.round_setup, self.setup_total = part, whole
-        else:
-            self.round_steady, self.steady_total = part, whole
-
-    def total(self) -> float:
-        return self.setup_total + self.steady_total
+        self.round, self.total = part, whole
 
 
 def tx_cost(d: float, packets: int, params: EnergyParams) -> float:
@@ -91,8 +68,7 @@ def _sensor_id(net: Network, node_id: int) -> int:
     return node_id
 
 
-def charge(net: Network, node_id: int, amount: float,
-           ledger: EnergyLedger | None = None) -> float:
+def charge(net: Network, node_id: int, amount: float) -> float:
     """Deduct up to ``amount`` from a sensor, killing it at zero.
 
     Returns what was actually spent (clamped at the remaining energy); a
@@ -107,13 +83,11 @@ def charge(net: Network, node_id: int, amount: float,
     net.energy[node_id] = left = left - spent
     if left == 0.0:
         net.mark_dead(node_id)
-    if ledger is not None and spent:
-        ledger.record(spent)
     return spent
 
 
 def apply_messages(net: Network, messages, params: EnergyParams,
-                   ledger: EnergyLedger | None = None) -> None:
+                   tally: EnergyTally | None = None) -> None:
     """Charge a message log: senders pay epsilon * d^2 * packets.
 
     Each ``(kind, sender, tx_distance, packets, receiver)`` record must pass
@@ -126,7 +100,7 @@ def apply_messages(net: Network, messages, params: EnergyParams,
     """
     eps, rx_cost = params.epsilon_amp, params.rx_cost
     energy, mark_dead, n = net.energy, net.mark_dead, net.n
-    spent = []  # in charge order; recorded even if a later record is rejected
+    spent = []  # in charge order; tallied even if a later record is rejected
     pay = spent.append
     try:
         for kind, sender, d, packets, receiver in messages:
@@ -156,5 +130,5 @@ def apply_messages(net: Network, messages, params: EnergyParams,
                         if nid != sender and net.dist(sender, nid) <= d:
                             pay(charge(net, nid, rx))
     finally:
-        if ledger is not None:
-            ledger.record_all(spent)
+        if tally is not None:
+            tally.add(spent)

@@ -1,9 +1,10 @@
 """Round driver: setup, steady-state traffic, death bookkeeping, metrics.
 
-One Simulation owns one Network, one RandomStream and one EnergyLedger; a
-round is setup (elections, relocation, charged control traffic) followed by
-steady state (every selected sender pushes its packets hop by hop to the
-base station). Dead nodes are pruned at the next round boundary, their
+One Simulation owns one Network, one RandomStream and two EnergyTally
+objects, ``setup`` and ``steady``; a round is setup (elections, relocation,
+charged control traffic, added to ``setup``) followed by steady state (every
+selected sender pushes its packets hop by hop to the base station, each hop
+added to ``steady``). Dead nodes are pruned at the next round boundary, their
 orphans re-homed to the first alive ancestor.
 """
 
@@ -13,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 from .core import BS_ID, Network, Point, RandomStream
-from .energy import EnergyLedger, EnergyParams, apply_messages
+from .energy import EnergyParams, EnergyTally, apply_messages
 from .protocols import (
     ProtocolParams,
     ProtocolStallError,
@@ -61,8 +62,9 @@ class SimConfig:
             value = getattr(self, name)
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite: {value}")
-        if self.area_w <= 0 or self.area_h <= 0:
-            raise ValueError("area dimensions must be positive")
+        for name in ("area_w", "area_h"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive: {getattr(self, name)}")
         if self.initial_energy < 0:
             raise ValueError(f"initial_energy must be >= 0: {self.initial_energy}")
         if self.protocol not in PROTOCOLS:
@@ -70,9 +72,9 @@ class SimConfig:
         if not 0.0 <= self.traffic_fraction <= 1.0:
             raise ValueError(f"traffic_fraction out of [0,1]: {self.traffic_fraction}")
         if self.packets_per_sender < 0:
-            raise ValueError("packets_per_sender must be >= 0")
+            raise ValueError(f"packets_per_sender must be >= 0: {self.packets_per_sender}")
         if self.max_rounds < 1:
-            raise ValueError("max_rounds must be >= 1")
+            raise ValueError(f"max_rounds must be >= 1: {self.max_rounds}")
 
 
 @dataclass(frozen=True)
@@ -117,7 +119,7 @@ class Simulation:
         elif net.n != config.n:
             raise ValueError(f"the network has {net.n} sensors but the config has n = {config.n}")
         self.net = net
-        self.ledger = EnergyLedger()
+        self.setup, self.steady = EnergyTally(), EnergyTally()
         self.tree: RoutingTree | None = None
         self._pruned_alive: int | None = None  # alive count at the last prune
         self.round = 0
@@ -141,8 +143,6 @@ class Simulation:
         self._pruned_alive = alive_count
         energy = self.net.energy
         old_parent = tree.parent_map()
-        if all(energy[i] > 0 for i in old_parent):
-            return
 
         def resolve(p: int) -> int:
             while p != BS_ID and not energy[p] > 0:
@@ -190,7 +190,7 @@ class Simulation:
         eps, energy, table = self.config.energy.epsilon_amp, self.net.energy, self.net._dist
         parent = self.tree.parent_map()
         hops = range(len(parent) + 1)  # more passes than any acyclic path has hops
-        spent, delivered = [], 0  # spends in charge order, recorded even on an error
+        spent, delivered = [], 0  # spends in charge order, tallied even on an error
         try:
             for sender in senders:
                 if sender not in parent and energy[sender] > 0:
@@ -220,20 +220,19 @@ class Simulation:
                 else:
                     raise RuntimeError(f"parent cycle reached from node {sender}")
         finally:
-            self.ledger.record_all(spent)
+            self.steady.add(spent)
         return delivered, packets * len(senders)
 
     def run_round(self) -> RoundMetrics:
         if self.net.alive_count() == 0:
             raise SimulationError("no alive sensors")
         self.round += 1
-        self.ledger.start_round()
+        self.setup.round = self.steady.round = 0.0
         self._prune_dead()
         outcome = self.last_outcome = self._run_setup()
-        apply_messages(self.net, outcome.messages, self.config.energy, self.ledger)
+        apply_messages(self.net, outcome.messages, self.config.energy, self.setup)
         width = len(self.tree.first_level())
         depth = self.tree.max_depth()
-        self.ledger.bucket = "steady"
         delivered, attempted = self._steady_phase()
         self.last_delivered, self.last_attempted = delivered, attempted
         self.delivered_total += delivered
@@ -241,8 +240,8 @@ class Simulation:
             round=self.round,
             dead_count=self.config.n - self.net.alive_count(),
             total_energy=self.net.total_energy(),
-            setup_energy=self.ledger.round_setup,
-            steady_energy=self.ledger.round_steady,
+            setup_energy=self.setup.round,
+            steady_energy=self.steady.round,
             first_level_width=width,
             max_depth=depth,
         )
@@ -267,7 +266,7 @@ class Simulation:
             if dead is None and row.dead_count == n:
                 dead = row.round
         per_packet = (
-            self.ledger.steady_total / self.delivered_total if self.delivered_total else 0.0
+            self.steady.total / self.delivered_total if self.delivered_total else 0.0
         )
         return LifetimeSummary(first, half, dead, per_packet)
 

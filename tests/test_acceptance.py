@@ -20,21 +20,21 @@ from statistics import correlation, mean, median
 import pytest
 
 from least_sim import (
-    NetworkStats,
     Point,
     ProtocolParams,
     ProtocolStallError,
     RandomStream,
     SimConfig,
     Simulation,
-    compare_estimates,
     leach_setup,
     least_setup,
     network_stats,
     place_nodes,
     run,
 )
+from least_sim.analysis import compare_estimates
 from least_sim.cli import sweep_phn
+from least_sim.core import NetworkStats
 from least_sim.simulator import metrics_csv
 
 from conftest import FIVE_POSITIONS, checked, make_net
@@ -267,7 +267,7 @@ def test_criterion_6_invariant_suite():
         if sim.round >= 2 and out.host_nodes:
             assert before.isdisjoint(sim.tree.first_level()), "first-level turnover"
         drop = initial - sim.net.total_energy()
-        assert drop == pytest.approx(sim.ledger.total(), rel=1e-9)
+        assert drop == pytest.approx(sim.setup.total + sim.steady.total, rel=1e-9)
 
     csv_a = metrics_csv(run(replace(PAPER_CONFIG, n=30, seed=5, initial_energy=0.01, max_rounds=200))[0])
     csv_b = metrics_csv(run(replace(PAPER_CONFIG, n=30, seed=5, initial_energy=0.01, max_rounds=200))[0])

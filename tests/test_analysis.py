@@ -4,13 +4,9 @@ import random
 
 import pytest
 
-from least_sim import (
-    NetworkStats,
-    ProtocolParams,
-    compare_estimates,
-    estimate_leach,
-    estimate_least,
-)
+from least_sim import ProtocolParams
+from least_sim.analysis import compare_estimates, estimate_leach, estimate_least
+from least_sim.core import NetworkStats
 
 
 UNIT = NetworkStats(d_bar=1.0, d_bar_max=1.0)

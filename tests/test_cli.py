@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -273,6 +274,33 @@ def test_main_non_finite_value_exit_one(tmp_path, capsys, key, raw):
     assert not (tmp_path / "o" / "manifest.json").exists()
 
 
+@pytest.mark.parametrize("args, key", [
+    *[(["simulate", "--config", line], key) for line, key in [
+        ("area_w = 0", "area_w"), ("area_h = -5", "area_h"),
+        ("epsilon_amp = -1", "epsilon_amp"), ("rx_cost_j = -1e-6", "rx_cost"),
+        ("initial_energy_j = -1", "initial_energy"), ("n = 0", "n"), ("n = abc", "n"),
+        ("p_ch = x", "p_ch"), ("max_rounds = 0", "max_rounds"),
+        ("packets_per_sender = -1", "packets_per_sender"),
+        ("traffic_fraction = 2", "traffic_fraction"), ("protocol = LEACH", "protocol"),
+        ("hn_window = -1", "hn_window"), ("bs_x = nan", "bs_x"),
+    ]],
+    (["sweep", "--p-hn", "0.1,x"], "p-hn"),
+    (["sweep", "--p-hn", "1.5"], "p_hn"),
+    (["sweep", "--p-hn", "nan"], "p_hn"),
+    (["sweep", "--p-hn", "-0.1"], "p_hn"),
+])
+def test_main_rejection_names_the_key(tmp_path, capsys, args, key):
+    if args[1] == "--config":  # the config line goes into a file
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(args[2] + "\n")
+        args = [args[0], "--config", str(bad)]
+    code = main([*args, "--out", str(tmp_path / "o")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert re.search(rf"\b{re.escape(key)}\b", err), err
+    assert not (tmp_path / "o" / "manifest.json").exists()
+
+
 def test_non_finite_values_rejected_in_constructors():
     for field in ("area_w", "area_h", "initial_energy"):
         with pytest.raises(ValueError, match=field):
@@ -391,6 +419,13 @@ def test_module_entry_point_runs_cli():
     assert proc.returncode == 0
     assert proc.stdout.strip() == f"least-sim {least_sim.__version__}"
     assert proc.stderr == ""
+
+
+def test_public_names_match_readme():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    api = readme.split("## Python API", 1)[1].split("\n## ", 1)[0]
+    listing = api.split("exports these names, and only these:", 1)[1].split("\n\n", 1)[0]
+    assert least_sim.__all__ == re.findall(r"`(\w+)`", listing)
 
 
 def test_main_analyze_prints_csv(tmp_path, capsys):

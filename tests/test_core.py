@@ -11,12 +11,11 @@ from least_sim import (
     Point,
     RandomStream,
     SimConfig,
-    charge,
     network_stats,
     place_nodes,
-    uniform_choice,
 )
-from least_sim.energy import DeadNodeError
+from least_sim.core import uniform_choice
+from least_sim.energy import DeadNodeError, charge
 from conftest import make_net
 
 

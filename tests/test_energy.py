@@ -1,20 +1,18 @@
-"""Transmission pricing, charging semantics, and ledger bookkeeping."""
+"""Transmission pricing, charging semantics, and per-phase energy tallies."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from least_sim import (
     ControlMessage,
-    EnergyLedger,
     EnergyParams,
+    EnergyTally,
     ProtocolParams,
     RandomStream,
     apply_messages,
-    charge,
     leach_setup,
-    tx_cost,
 )
-from least_sim.energy import DeadNodeError
+from least_sim.energy import DeadNodeError, charge, tx_cost
 from least_sim.protocols import MESSAGE_KINDS
 
 from conftest import checked, make_net
@@ -51,12 +49,10 @@ def test_charge_basic_arithmetic():
 
 def test_charge_clamps_and_kills():
     net = make_net([(0, 0)], energy=0.03)
-    ledger = EnergyLedger()
-    spent = charge(net, 1, 0.05, ledger)
+    spent = charge(net, 1, 0.05)
     assert spent == pytest.approx(0.03)
     assert net.energy[1] == 0.0
     assert net.alive_count() == 0
-    assert ledger.total() == pytest.approx(0.03)
 
 
 def test_charge_zero_is_identity():
@@ -104,14 +100,14 @@ def test_apply_skips_senders_dead_earlier_in_log():
 
 
 def test_ledger_matches_brute_force_sum(line10_net):
-    """Full setup log on a ten-node fixture: ledger equals the direct sum."""
+    """Full setup log on a ten-node fixture: the tally equals the direct sum."""
     params = EnergyParams()
     out = leach_setup(line10_net, ProtocolParams(p_ch=0.3), 1, RandomStream(42))
-    ledger = EnergyLedger()
+    tally = EnergyTally()
     before = line10_net.total_energy()
-    apply_messages(line10_net, out.messages, params, ledger)
+    apply_messages(line10_net, out.messages, params, tally)
     want = sum(tx_cost(m.tx_distance, m.packets, params) for m in checked(out.messages) if m.sender != 0)
-    assert ledger.total() == pytest.approx(want, rel=1e-12)
+    assert tally.total == pytest.approx(want, rel=1e-12)
     assert before - line10_net.total_energy() == pytest.approx(want, rel=1e-9)
 
 
@@ -129,19 +125,19 @@ def test_conservation_and_monotonicity_across_rounds():
             assert e <= last_per_node[i] + 1e-15  # never increases
             last_per_node[i] = e
         drop = initial - sim.net.total_energy()
-        assert drop == pytest.approx(sim.ledger.total(), rel=1e-9)
+        assert drop == pytest.approx(sim.setup.total + sim.steady.total, rel=1e-9)
 
 
 def test_total_spend_reorder_invariant(line10_net):
     params = EnergyParams()
     out = leach_setup(line10_net, ProtocolParams(p_ch=0.3), 1, RandomStream(42))
-    ledger_fwd = EnergyLedger()
-    apply_messages(line10_net, out.messages, params, ledger_fwd)
+    tally_fwd = EnergyTally()
+    apply_messages(line10_net, out.messages, params, tally_fwd)
 
     net2 = make_net([(10.0 * i - 5.0, 50.0) for i in range(1, 11)])
-    ledger_rev = EnergyLedger()
-    apply_messages(net2, list(reversed(out.messages)), params, ledger_rev)
-    assert ledger_fwd.total() == pytest.approx(ledger_rev.total(), rel=1e-12)
+    tally_rev = EnergyTally()
+    apply_messages(net2, list(reversed(out.messages)), params, tally_rev)
+    assert tally_fwd.total == pytest.approx(tally_rev.total, rel=1e-12)
 
 
 def test_rx_pricing_point_to_point():
@@ -164,16 +160,16 @@ def test_rx_pricing_broadcast_radius():
 
 
 def test_ledger_setup_steady_split():
-    ledger = EnergyLedger()
-    ledger.start_round()
-    ledger.record(0.5)
-    ledger.bucket = "steady"
-    ledger.record(0.25)
-    assert ledger.round_setup == pytest.approx(0.5)
-    assert ledger.round_steady == pytest.approx(0.25)
-    assert ledger.setup_total == pytest.approx(0.5)
-    assert ledger.steady_total == pytest.approx(0.25)
-    assert ledger.total() == pytest.approx(0.75)
+    """Each phase's spends go to its own tally, which adds them to ``round`` and ``total``."""
+    setup, steady = EnergyTally(), EnergyTally()
+    setup.add([0.5])
+    steady.add([0.25, 0.125])
+    assert (setup.round, setup.total) == (0.5, 0.5)
+    assert (steady.round, steady.total) == (0.375, 0.375)
+    steady.round = 0.0  # a new round
+    steady.add([0.25])
+    assert (steady.round, steady.total) == (0.25, 0.625)
+    assert (setup.round, setup.total) == (0.5, 0.5)
 
 
 # -- inline charging against a loop of charge calls ---------------------------
@@ -181,22 +177,22 @@ def test_ledger_setup_steady_split():
 KINDS = sorted(MESSAGE_KINDS)
 
 
-def reference_apply(net, messages, params, ledger):
+def reference_apply(net, messages, params, tally):
     """``apply_messages`` written as one ``charge`` call per payment."""
     eps, rx_cost = params.epsilon_amp, params.rx_cost
     for _, sender, d, packets, receiver in messages:
         if sender != 0:
             if net.energy[sender] == 0.0:
                 continue
-            charge(net, sender, eps * d * d * packets, ledger)
+            tally.add([charge(net, sender, eps * d * d * packets)])
         if rx_cost > 0.0 and packets > 0:
             if receiver is not None:
                 if receiver != 0 and net.energy[receiver] > 0:
-                    charge(net, receiver, rx_cost * packets, ledger)
+                    tally.add([charge(net, receiver, rx_cost * packets)])
             else:
                 for nid in net.alive_ids():
                     if nid != sender and net.dist(sender, nid) <= d:
-                        charge(net, nid, rx_cost * packets, ledger)
+                        tally.add([charge(net, nid, rx_cost * packets)])
 
 
 @st.composite
@@ -216,32 +212,27 @@ def charging_cases(draw):
     )
     log = draw(st.lists(record, max_size=25))
     rx_cost = draw(st.sampled_from([0.0, 1e-7, 1e-6]))
-    bucket = draw(st.sampled_from(["setup", "steady"]))
-    return positions, energies, log, rx_cost, bucket
-
-
-def ledger_fields(ledger):
-    return (ledger.round_setup, ledger.setup_total, ledger.round_steady, ledger.steady_total)
+    return positions, energies, log, rx_cost
 
 
 @settings(max_examples=300, deadline=None)
 @given(charging_cases())
 def test_inline_charging_equals_charge_calls(case):
-    positions, energies, log, rx_cost, bucket = case
+    positions, energies, log, rx_cost = case
     params = EnergyParams(epsilon_amp=2.0**-30, rx_cost=rx_cost)
     got_net, want_net = make_net(positions, energies), make_net(positions, energies)
-    got_ledger, want_ledger = EnergyLedger(), EnergyLedger()
-    for ledger in (got_ledger, want_ledger):
-        ledger.record(3e-7)  # a ledger that already holds an earlier charge
-        ledger.bucket = bucket
-        ledger.record(1e-7)
-    apply_messages(got_net, log, params, got_ledger)
-    reference_apply(want_net, log, params, want_ledger)
+    got_tally, want_tally = EnergyTally(), EnergyTally()
+    for tally in (got_tally, want_tally):
+        tally.add([3e-7])  # a tally that already holds an earlier round's spend
+        tally.round = 0.0
+        tally.add([1e-7])
+    apply_messages(got_net, log, params, got_tally)
+    reference_apply(want_net, log, params, want_tally)
     ids = range(1, len(positions) + 1)
     assert [got_net.energy[i] for i in ids] == [want_net.energy[i] for i in ids]
     assert [got_net.energy[i] > 0 for i in ids] == [want_net.energy[i] > 0 for i in ids]
     assert got_net.alive_ids() == want_net.alive_ids()
-    assert ledger_fields(got_ledger) == ledger_fields(want_ledger)
+    assert (got_tally.round, got_tally.total) == (want_tally.round, want_tally.total)
 
 
 def test_apply_rejects_malformed_records():
@@ -250,14 +241,14 @@ def test_apply_rejects_malformed_records():
                    ("ch_announce", 1, -0.5, 1, None),
                    ("join_request", 1, 1.0, -1, 2)]:
         net = make_net([(0, 0), (3, 4)])
-        ledger = EnergyLedger()
+        tally = EnergyTally()
         first = ("ch_announce", 2, 10.0, 1, None)
         with pytest.raises(ValueError):
-            apply_messages(net, [first, record], params, ledger)
-        # the record before the bad one was charged and is in the ledger
+            apply_messages(net, [first, record], params, tally)
+        # the record before the bad one was charged and is in the tally
         spent = params.epsilon_amp * 10.0 * 10.0
         assert (net.energy[1], net.energy[2]) == (1.0, 1.0 - spent)
-        assert ledger.total() == spent
+        assert tally.total == spent
 
 
 def test_apply_rejects_unknown_senders():

@@ -4,7 +4,6 @@ draw-by-draw interpreter plus frozen golden traces."""
 import pytest
 
 from least_sim import (
-    BS_ID,
     ControlMessage,
     ProtocolParams,
     ProtocolStallError,
@@ -17,9 +16,9 @@ from least_sim import (
     leach_setup,
     least_setup,
     relocate,
-    rotation_eligible,
 )
-from least_sim.protocols import election_threshold
+from least_sim.core import BS_ID
+from least_sim.protocols import election_threshold, rotation_eligible
 
 from conftest import FIVE_POSITIONS, checked, make_net, to_lines
 from trace_oracle import leach_trace, least_round_trace

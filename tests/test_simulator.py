@@ -19,12 +19,11 @@ from least_sim import (
     SetupOutcome,
     SimConfig,
     Simulation,
-    charge,
     place_nodes,
     run,
-    tx_cost,
 )
 from least_sim.cli import parse_config, sweep_phn
+from least_sim.energy import charge, tx_cost
 from least_sim.simulator import METRICS_HEADER, metrics_csv
 
 from conftest import FIVE_POSITIONS, make_net
@@ -126,7 +125,7 @@ def test_round_charges_match_recorded_paths():
         want += sum(
             eps * sim.net.dist(path[i], path[i + 1]) ** 2 for i in range(len(path) - 1)
         )
-    assert sim.ledger.round_steady == pytest.approx(want, rel=1e-12)
+    assert sim.steady.round == pytest.approx(want, rel=1e-12)
 
 
 # -- steady phase --------------------------------------------------------------
@@ -158,7 +157,9 @@ def reference_steady(sim):
             if net.energy[fwd] == 0.0:
                 break
             cost = tx_cost(net.dist(fwd, nxt), packets, cfg.energy)
-            if charge(net, fwd, cost, sim.ledger) < cost:
+            spent = charge(net, fwd, cost)
+            sim.steady.add([spent])
+            if spent < cost:
                 break
         else:
             delivered += packets
@@ -167,13 +168,13 @@ def reference_steady(sim):
 
 def sim_state(sim):
     """Everything the steady phase may touch, for ``==`` comparison."""
-    ids, ledger = range(1, sim.config.n + 1), sim.ledger
+    ids = range(1, sim.config.n + 1)
     return {
         "energy": [sim.net.energy[i] for i in ids],
         "alive": [sim.net.energy[i] > 0 for i in ids],
         "alive_ids": sim.net.alive_ids(),
         "stream": sim.stream._state,
-        "ledger": (ledger.round_setup, ledger.setup_total, ledger.round_steady, ledger.steady_total),
+        "tallies": (sim.setup.round, sim.setup.total, sim.steady.round, sim.steady.total),
     }
 
 
@@ -205,7 +206,6 @@ def steady_cases(draw):
             sim.net.energy[i] = draw(st.sampled_from([2.0**-22, 1e-7, 3e-6, 1e-5]))
         elif choice == "float":
             sim.net.energy[i] = draw(st.floats(1e-9, 1e-3))
-    sim.ledger.bucket = "steady"
     return sim
 
 
@@ -231,11 +231,10 @@ def test_steady_phase_matches_oracle(sim):
     packets = sim.config.packets_per_sender
     total, delivered = steady_trace(pos, energy, sim.tree.parent_map(), senders, packets,
                                     sim.config.energy.epsilon_amp)
-    sim.ledger.start_round()
-    sim.ledger.bucket = "steady"
+    sim.steady.round = 0.0  # this phase's spend alone, as at the start of a round
     assert sim._steady_phase() == (delivered, packets * len(senders))
     assert [net.energy[i] for i in range(1, net.n + 1)] == list(energy.values())
-    assert sim.ledger.round_steady == total
+    assert sim.steady.round == total
 
 
 def chain_sim(energies):
@@ -258,19 +257,18 @@ def test_forwarder_dying_at_exactly_zero_still_delivers(monkeypatch):
     assert sim.net.energy[1] == 0.0 and sim.net.energy[1] == 0.0
     assert sim.net.alive_ids() == [2]
     assert sim.last_delivered == 2
-    assert m.steady_energy == sim.ledger.round_steady == hop + hop + hop
+    assert m.steady_energy == sim.steady.round == hop + hop + hop
 
 
 def test_alive_sender_missing_from_map_raises():
     sim = chain_sim([1.0, 1.0, 1.0])
     sim.tree.detach_subtree_root(3)
-    sim.ledger.bucket = "steady"
     with pytest.raises(ValueError, match="unknown node: 3"):
         sim._steady_phase()
     # senders 1 and 2 were charged and recorded; sensor 3 paid nothing
     hop = 2.0**-22
     assert [sim.net.energy[i] for i in (1, 2, 3)] == [1.0 - hop - hop, 1.0 - hop, 1.0]
-    assert sim.ledger.total() == sim.initial_total - sim.net.total_energy() == 3 * hop
+    assert sim.setup.total + sim.steady.total == sim.initial_total - sim.net.total_energy() == 3 * hop
 
 
 def test_parent_cycle_raises():
@@ -278,7 +276,15 @@ def test_parent_cycle_raises():
     sim.tree._parent[1] = 2  # 1 -> 2 -> 1; attach refuses to build this
     with pytest.raises(RuntimeError, match="parent cycle"):
         sim._steady_phase()
-    assert sim.ledger.total() == sim.initial_total - sim.net.total_energy()
+    assert sim.setup.total + sim.steady.total == sim.initial_total - sim.net.total_energy()
+
+
+def test_steady_phase_needs_no_setup_ceremony():
+    # every spend of the steady walk is steady energy, whoever calls it
+    sim = chain_sim([1.0, 1.0, 1.0])
+    assert sim._steady_phase() == (3, 3)
+    assert sim.setup.total == 0.0
+    assert sim.steady.total == sim.steady.round == 6 * 2.0**-22
 
 
 def test_zero_packets_charge_nothing_but_draw_the_senders():
