@@ -187,14 +187,16 @@ def _fan_out(fn, items) -> list:
         return list(pool.map(fn, items))
 
 
-def _run_placement(configs, keep=None) -> list:
-    """Run configs of one seed in turn; later runs reuse the first one's distance table."""
+def _run_placement(configs, finish=None) -> list:
+    """Run configs of one seed in turn; later runs reuse the first one's distance table.
+
+    A run's result is ``sim.run()``, or ``finish(sim)`` when given."""
     out, table = [], None
     for config in configs:
         sim = Simulation(config, table=table)
-        table, result = sim.net.table, sim.run()
+        table = sim.net.table
+        out.append(sim.run() if finish is None else finish(sim))
         del sim  # between runs hold only the table, not the finished run
-        out.append(result if keep is None else keep(config, result))
     return out
 
 
@@ -205,10 +207,15 @@ def run_many(config: SimConfig, protocols, seeds):
     return {(p, s): results[s][i] for i, p in enumerate(protocols) for s in seeds}
 
 
-def _half_life(config: SimConfig, result) -> int:
-    """Half-life of one run; the round cap, a lower bound, if never reached."""
-    half = result[1].half_life_round
-    return config.max_rounds if half is None else half
+def _half_life(sim: Simulation) -> int:
+    """Step a run only until half its sensors are dead, and return that round:
+    ``Simulation.run``'s half-life, or the round cap, a lower bound, if never
+    reached (0 if no round ran)."""
+    target, cap = math.ceil(sim.config.n / 2), sim.config.max_rounds
+    while sim.net.alive_count() > 0 and sim.round < cap:
+        if sim.run_round().dead_count >= target:
+            return sim.round
+    return cap if sim.round else 0
 
 
 def sweep_phn(base_config: SimConfig, values, seeds) -> list[tuple[float, float]]:
@@ -220,7 +227,7 @@ def sweep_phn(base_config: SimConfig, values, seeds) -> list[tuple[float, float]
         [replace(base_config, seed=s, params=replace(base_config.params, p_hn=v)) for v in distinct]
         for s in seeds
     ]
-    halves = _fan_out(partial(_run_placement, keep=_half_life), groups)
+    halves = _fan_out(partial(_run_placement, finish=_half_life), groups)
     medians = {v: float(median(h[i] for h in halves)) for i, v in enumerate(distinct)}
     return [(v, medians[v]) for v in values]
 

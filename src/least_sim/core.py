@@ -8,6 +8,8 @@ platform Python runs on.
 from __future__ import annotations
 
 import math
+import sys
+from array import array
 from dataclasses import dataclass
 from itertools import chain, repeat
 
@@ -15,6 +17,32 @@ from itertools import chain, repeat
 BS_ID = 0
 
 _MASK64 = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15  # splitmix64's counter step per draw
+
+# A block packs _LANES lanes into one int, lane k at bits 128k .. 128k+127: a
+# 64-bit low word times a 64-bit constant stays inside its own lane.
+_LANES = 512
+_ONES = sum(1 << (128 * k) for k in range(_LANES))  # 1 in every lane
+_STEPS = sum(((k + 1) * _GAMMA) << (128 * k) for k in range(_LANES))
+_LOW_WORDS = _MASK64 * _ONES
+_BIG_ENDIAN = sys.byteorder == "big"
+
+
+def _mix_block(state: int) -> list[int]:
+    """splitmix64's outputs for the ``_LANES`` counters after ``state``, the
+    first one last (``list.pop`` hands them out in order). Every lane is cut
+    to its low word before each multiply, which also drops the bits a right
+    shift brought down from the lane above."""
+    z = (state * _ONES + _STEPS) & _LOW_WORDS
+    z = ((z ^ (z >> 30)) & _LOW_WORDS) * 0xBF58476D1CE4E5B9 & _LOW_WORDS
+    z = ((z ^ (z >> 27)) & _LOW_WORDS) * 0x94D049BB133111EB & _LOW_WORDS
+    words = array("Q", (z ^ (z >> 31)).to_bytes(16 * _LANES, "little"))
+    if words.itemsize != 8:
+        raise RuntimeError(f"array('Q') items are {words.itemsize} bytes on this "
+                           "platform; the packed splitmix64 lanes need 8")
+    if _BIG_ENDIAN:
+        words.byteswap()
+    return words[-2::-2].tolist()  # every lane's low word, last lane first
 
 
 class RandomStream:
@@ -23,20 +51,30 @@ class RandomStream:
     The internal state advances by a fixed odd constant per draw and the
     output is a bijective mix of that counter, so equal seeds give equal
     draw sequences everywhere; no dependence on platform or library RNGs.
+    Since an output depends on its counter alone, the next 512 are mixed at
+    once (``_mix_block``) and handed out one per ``next_u64``: the same
+    values in the same order as one at a time.
     """
 
-    __slots__ = ("_state",)
+    __slots__ = ("_end", "_lanes")
 
     def __init__(self, seed: int):
-        self._state = seed & _MASK64
+        self._end = seed & _MASK64  # the state after the last buffered output
+        self._lanes: list[int] = []  # buffered outputs, the next one last
+
+    @property
+    def _state(self) -> int:
+        """The state after the draws made so far, as splitmix64 keeps it."""
+        return (self._end - len(self._lanes) * _GAMMA) & _MASK64
 
     def next_u64(self) -> int:
         """Next raw 64-bit value; the single primitive every draw uses."""
-        self._state = (self._state + 0x9E3779B97F4A7C15) & _MASK64
-        z = self._state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-        return z ^ (z >> 31)
+        try:
+            return self._lanes.pop()
+        except IndexError:
+            self._lanes = _mix_block(self._end)
+            self._end = (self._end + _LANES * _GAMMA) & _MASK64
+            return self._lanes.pop()
 
     def random(self) -> float:
         """Uniform float in [0, 1), 53-bit resolution."""

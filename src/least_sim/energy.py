@@ -6,7 +6,7 @@ import math
 from dataclasses import dataclass
 
 from .core import BS_ID, Network
-from .protocols import check_message
+from .protocols import MESSAGE_KINDS, check_message
 
 
 class DeadNodeError(RuntimeError):
@@ -104,7 +104,8 @@ def apply_messages(net: Network, messages, params: EnergyParams,
     pay = spent.append
     try:
         for kind, sender, d, packets, receiver in messages:
-            check_message(kind, d, packets)
+            if kind not in MESSAGE_KINDS or d < 0 or packets < 0:
+                check_message(kind, d, packets)  # raises, naming what is wrong
             if sender != BS_ID:
                 if not 0 < sender <= n:
                     raise KeyError(f"unknown sensor id: {sender}")

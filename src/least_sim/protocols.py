@@ -153,7 +153,7 @@ def _run_election(stream: RandomStream, eligible: list[int], threshold: float,
     """One self-election: Bernoulli per eligible id (ascending), repeated on
     zero winners, then a uniform fallback so setup can never loop forever."""
     draw = stream.next_u64  # one draw per eligible candidate, as RandomStream.random
-    for _ in range(_MAX_ELECTION_ATTEMPTS):
+    for _ in range(_MAX_ELECTION_ATTEMPTS if eligible else 0):  # no candidate, no draw
         winners = [i for i in eligible if (draw() >> 11) * 2.0**-53 < threshold]
         if winners:
             return winners
@@ -180,7 +180,7 @@ def leach_setup(net: Network, params: ProtocolParams, round_no: int,
     for h in heads:
         last_ch[h] = round_no
 
-    tree = RoutingTree()
+    tree = RoutingTree(net.n)
     tree.attach_all([(h, BS_ID) for h in heads])
     far = net.farthest_alive_distance
     messages = [(CH_ANNOUNCE, h, far(h), 1, None) for h in heads]
@@ -233,9 +233,9 @@ def elect_heirs(net: Network, tree: RoutingTree, first_level, params: ProtocolPa
     messages = []
     draw = stream.next_u64  # one draw per child, ascending, as RandomStream.random
     p_h = params.p_h
-    dist, farthest = net.dist, net.farthest
+    dist, farthest, children = net.dist, net.farthest, tree.children
     for parent in sorted(first_level):
-        kids = tree.children_of(parent)
+        kids = children[parent]
         if not kids:
             continue
         chosen = [c for c in kids if (draw() >> 11) * 2.0**-53 < p_h]

@@ -141,19 +141,7 @@ class Simulation:
         if tree is None or self.config.protocol == "leach" or alive_count == self._pruned_alive:
             return
         self._pruned_alive = alive_count
-        energy = self.net.energy
-        old_parent = tree.parent_map()
-
-        def resolve(p: int) -> int:
-            while p != BS_ID and not energy[p] > 0:
-                p = old_parent[p]
-            return p
-
-        rebuilt, level = RoutingTree(), tree.first_level()
-        while level:  # level by level, so that every new parent is attached first
-            rebuilt.attach_all([(i, resolve(old_parent[i])) for i in level if energy[i] > 0])
-            level = [c for p in level for c in tree.children_of(p)]
-        self.tree = rebuilt
+        self.tree = tree.pruned([e > 0 for e in self.net.energy])
 
     def _run_setup(self) -> SetupOutcome:
         cfg = self.config
@@ -188,12 +176,12 @@ class Simulation:
         if not senders or packets == 0:
             return 0, 0
         eps, energy, table = self.config.energy.epsilon_amp, self.net.energy, self.net._dist
-        parent = self.tree.parent_map()
-        hops = range(len(parent) + 1)  # more passes than any acyclic path has hops
+        parent = self.tree.parent  # read in place: the walk never changes the map
+        hops = range(len(parent))  # more passes than any acyclic path has hops
         spent, delivered = [], 0  # spends in charge order, tallied even on an error
         try:
             for sender in senders:
-                if sender not in parent and energy[sender] > 0:
+                if parent[sender] is None and energy[sender] > 0:
                     raise ValueError(f"unknown node: {sender}")
                 fwd = sender
                 for _ in hops:
@@ -231,7 +219,7 @@ class Simulation:
         self._prune_dead()
         outcome = self.last_outcome = self._run_setup()
         apply_messages(self.net, outcome.messages, self.config.energy, self.setup)
-        width = len(self.tree.first_level())
+        width = len(self.tree.children[BS_ID])
         depth = self.tree.max_depth()
         delivered, attempted = self._steady_phase()
         self.last_delivered, self.last_attempted = delivered, attempted

@@ -2,6 +2,8 @@ import pytest
 
 from least_sim import ControlMessage, Network, Point
 
+from tree_reference import parent_map
+
 
 def checked(messages):
     """Setup's plain message records, each validated and given field names."""
@@ -10,7 +12,7 @@ def checked(messages):
 
 def to_lines(tree):
     """A tree as one ``child parent`` line per edge, ascending child id."""
-    edges = tree.parent_map()
+    edges = parent_map(tree)
     return "\n".join(f"{c} {edges[c]}" for c in sorted(edges))
 
 

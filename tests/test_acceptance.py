@@ -38,6 +38,7 @@ from least_sim.core import NetworkStats
 from least_sim.simulator import metrics_csv
 
 from conftest import FIVE_POSITIONS, checked, make_net
+from tree_reference import parent_map, validate
 from trace_oracle import leach_trace, least_round_trace
 
 SEEDS = list(range(1, 31))
@@ -242,13 +243,13 @@ def test_criterion_6_invariant_suite():
                 stalls += 1
                 continue
             tree = out.tree
-            assert tree.validate(net.alive_ids()) is None
+            assert validate(tree, net.alive_ids()) is None
             phases += 1
             if round_no >= 2 and out.host_nodes:
                 for f, heirs in out.heirs.items():
                     assert heirs, "heir guarantee"
                     for heir in heirs:
-                        assert tree.parent_of(heir) == 0
+                        assert tree.parent[heir] == 0
 
     # rotation window, turnover, conservation, determinism on a medium run
     cfg = replace(PAPER_CONFIG, n=40, seed=8, initial_energy=0.02, max_rounds=120)
@@ -286,7 +287,7 @@ def test_criterion_7_oracle_equivalence():
     got = leach_setup(net, params, 1, RandomStream(42))
     pos = {0: (50.0, 50.0), **{i: (10.0 * i - 5.0, 50.0) for i in range(1, 11)}}
     want_parent, want_msgs, _ = leach_trace(pos, list(range(1, 11)), {}, params, 1, RandomStream(42))
-    if got.tree.parent_map() != want_parent:
+    if parent_map(got.tree) != want_parent:
         failures.append("leach-setup trace")
     if [(m.kind, m.sender) for m in checked(got.messages)] != [(k, s) for k, s, _, _ in want_msgs]:
         failures.append("leach-setup message order")
@@ -300,7 +301,7 @@ def test_criterion_7_oracle_equivalence():
     ref = RandomStream(7)
     w1, _, _ = leach_trace(pos, [1, 2, 3, 4, 5], {}, params, 1, ref)
     w2, w2_msgs, _, _ = least_round_trace(pos, [1, 2, 3, 4, 5], {}, w1, params, 2, ref)
-    if out2.tree.parent_map() != w2:
+    if parent_map(out2.tree) != w2:
         failures.append("tree-setup trace")
     got_msgs = [(m.kind, m.sender, round(m.tx_distance, 9), m.packets) for m in checked(out2.messages)]
     ref_msgs = [(k, s, round(d, 9), p) for k, s, d, p in w2_msgs]

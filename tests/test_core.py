@@ -1,6 +1,7 @@
 """Geometry, statistics, and random-stream contracts."""
 
 import math
+from array import array
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from least_sim import (
     Point,
     RandomStream,
     SimConfig,
+    Simulation,
     network_stats,
     place_nodes,
 )
@@ -121,6 +123,103 @@ def test_uniform_choice_frequencies():
 def test_uniform_choice_deterministic_per_seed():
     items = list(range(7))
     assert uniform_choice(RandomStream(99), items) == uniform_choice(RandomStream(99), items)
+
+
+MASK64, GAMMA = 2**64 - 1, 0x9E3779B97F4A7C15
+
+# seeds at the edges of the 64-bit range and beyond it, which the stream masks
+stream_seeds = st.one_of(
+    st.sampled_from([0, 1, 2**64 - 1, 2**64, 2**64 + 5, -1, -(2**64), -12345]),
+    st.integers(min_value=-(2**80), max_value=2**80),
+)
+# counts on both sides of the 512-draw block edges
+draw_counts = st.one_of(st.sampled_from([0, 1, 511, 512, 513, 1024, 1025, 1537]),
+                        st.integers(min_value=0, max_value=1100))
+
+
+@settings(max_examples=60, deadline=None)
+@given(stream_seeds, draw_counts)
+def test_stream_blocks_equal_reference_and_state(seed, count):
+    s = RandomStream(seed)
+    assert s._state == seed & MASK64
+    assert [s.next_u64() for _ in range(count)] == reference_splitmix64(seed, count)
+    assert s._state == (seed + count * GAMMA) & MASK64  # the state after k draws
+
+
+stream_calls = st.lists(st.one_of(
+    st.tuples(st.just("raw"), st.integers(min_value=0, max_value=600)),
+    st.tuples(st.just("random")),
+    st.tuples(st.just("uniform"), st.floats(-1e3, 1e3), st.floats(-1e3, 1e3)),
+    st.tuples(st.just("choice"), st.integers(min_value=1, max_value=40)),
+), max_size=12)
+
+
+@settings(max_examples=80, deadline=None)
+@given(stream_seeds, stream_calls)
+def test_stream_interleaved_calls_equal_reference(seed, calls):
+    s = RandomStream(seed)
+    total = sum(call[1] if call[0] == "raw" else 1 for call in calls)
+    want = iter(reference_splitmix64(seed, total))
+    for kind, *args in calls:
+        if kind == "raw":
+            assert [s.next_u64() for _ in range(args[0])] == [next(want) for _ in range(args[0])]
+        elif kind == "random":
+            assert s.random() == (next(want) >> 11) * 2.0**-53
+        elif kind == "uniform":
+            lo, hi = args
+            assert s.uniform(lo, hi) == lo + (hi - lo) * ((next(want) >> 11) * 2.0**-53)
+        else:
+            items = list(range(args[0]))
+            assert uniform_choice(s, items) == items[next(want) % args[0]]
+    assert s._state == (seed + total * GAMMA) & MASK64
+
+
+def test_stream_lanes_are_byte_swapped_on_a_big_endian_host(monkeypatch):
+    from least_sim import core
+
+    def big_endian_array(typecode, data):
+        words = array(typecode, data)
+        words.byteswap()  # what a big-endian host reads from the same bytes
+        return words
+
+    monkeypatch.setattr(core, "array", big_endian_array)
+    monkeypatch.setattr(core, "_BIG_ENDIAN", True)
+    s = RandomStream(77)
+    assert [s.next_u64() for _ in range(600)] == reference_splitmix64(77, 600)
+    monkeypatch.setattr(core, "_BIG_ENDIAN", False)  # the swap is what mends it
+    assert RandomStream(77).next_u64() != reference_splitmix64(77, 1)[0]
+
+
+def test_stream_refuses_array_items_that_are_not_8_bytes(monkeypatch):
+    from least_sim import core
+
+    monkeypatch.setattr(core, "array", lambda typecode, data: array("B", data))
+    with pytest.raises(RuntimeError, match=r"array\('Q'\) items are 1 bytes"):
+        RandomStream(1).next_u64()
+
+
+def test_class_level_patch_of_next_u64_counts_every_draw(monkeypatch):
+    """A wrapper set on the class, as a tracing harness installs one, sees
+    every draw of a run: nothing binds ``next_u64`` per instance or takes
+    outputs past it. The count is checked against the counter state."""
+    calls = 0
+    original = RandomStream.next_u64
+
+    def counted(self):
+        nonlocal calls
+        calls += 1
+        return original(self)
+
+    monkeypatch.setattr(RandomStream, "next_u64", counted)
+    for protocol in ("leach", "least"):
+        calls = 0
+        cfg = SimConfig(n=15, seed=3, protocol=protocol, initial_energy=0.002,
+                        traffic_fraction=0.5, max_rounds=80)
+        sim = Simulation(cfg)
+        rows, _ = sim.run()
+        assert rows[-1].dead_count > 0
+        made = (sim.stream._state - cfg.seed) * pow(GAMMA, -1, 2**64) % 2**64
+        assert calls == made > 2 * cfg.n  # placement, elections and sender picks
 
 
 # -- geometry -----------------------------------------------------------

@@ -17,10 +17,11 @@ from least_sim import (
     least_setup,
     relocate,
 )
-from least_sim.core import BS_ID
-from least_sim.protocols import election_threshold, rotation_eligible
+from least_sim.core import BS_ID, uniform_choice
+from least_sim.protocols import _run_election, election_threshold, rotation_eligible
 
 from conftest import FIVE_POSITIONS, checked, make_net, to_lines
+from tree_reference import level, parent_map, validate
 from trace_oracle import leach_trace, least_round_trace
 
 
@@ -51,6 +52,17 @@ def test_threshold_cycle():
     assert election_threshold(0.2, 9, 5) == pytest.approx(1.0)
     assert election_threshold(1.0, 1, 1) == 1.0
     assert election_threshold(0.0, 3, 0) == 0.0
+
+
+def test_empty_election_makes_one_draw_the_uniform_pick():
+    """No eligible candidate: no Bernoulli rounds, straight to the fallback,
+    which draws once and picks as ``uniform_choice`` does."""
+    pool = [3, 5, 8, 13, 21]
+    for seed in range(25):
+        stream, one = RandomStream(seed), RandomStream(seed)
+        want = uniform_choice(one, pool)
+        assert _run_election(stream, [], 0.5, pool) == [want]
+        assert stream._state == one._state  # exactly one draw
 
 
 def test_window_override():
@@ -110,7 +122,7 @@ def test_leach_golden_trace_line10(line10_net):
     params = ProtocolParams(p_ch=0.3)
     out = leach_setup(line10_net, params, 1, RandomStream(42))
     assert sorted(out.tree.first_level()) == [2, 3, 4, 5, 7, 9]
-    assert out.tree.parent_map() == {
+    assert parent_map(out.tree) == {
         1: 2, 2: 0, 3: 0, 4: 0, 5: 0, 6: 5, 7: 0, 8: 7, 9: 0, 10: 9,
     }
     assert to_lines(out.tree) == (
@@ -145,7 +157,7 @@ def test_leach_matches_oracle_on_random_fields():
         want_parent, want_msgs, _ = leach_trace(
             pos, list(range(1, n + 1)), {}, params, 1, RandomStream(seed)
         )
-        assert got.tree.parent_map() == want_parent
+        assert parent_map(got.tree) == want_parent
         assert [(m.kind, m.sender, m.packets) for m in checked(got.messages)] == [
             (k, s, p) for k, s, _, p in want_msgs
         ]
@@ -156,7 +168,7 @@ def test_leach_matches_oracle_on_random_fields():
 # -- host-node election -------------------------------------------------------
 
 def test_hosts_all_at_p1(five_net):
-    tree = RoutingTree()
+    tree = RoutingTree(five_net.n)
     tree.attach(2, 0)
     for c in (1, 3, 4, 5):
         tree.attach(c, 2)
@@ -168,7 +180,7 @@ def test_hosts_all_at_p1(five_net):
 
 
 def test_hosts_stall_when_no_candidate(five_net):
-    tree = RoutingTree()
+    tree = RoutingTree(five_net.n)
     for i in range(1, 6):
         tree.attach(i, 0)  # everyone is first-level
     with pytest.raises(ProtocolStallError):
@@ -177,7 +189,7 @@ def test_hosts_stall_when_no_candidate(five_net):
 
 def test_hosts_single_eligible_forced_by_fallback(five_net):
     # tiny p_hn: the lone eligible node wins by draw or by uniform fallback
-    tree = RoutingTree()
+    tree = RoutingTree(five_net.n)
     tree.attach(2, 0)
     for c in (1, 3, 4, 5):
         tree.attach(c, 2)
@@ -188,7 +200,7 @@ def test_hosts_single_eligible_forced_by_fallback(five_net):
 
 
 def test_hosts_respect_rotation_window(five_net):
-    tree = RoutingTree()
+    tree = RoutingTree(five_net.n)
     tree.attach(2, 0)
     for c in (1, 3, 4, 5):
         tree.attach(c, 2)
@@ -199,7 +211,7 @@ def test_hosts_respect_rotation_window(five_net):
 
 
 def test_hn_window_override_changes_eligibility(five_net):
-    tree = RoutingTree()
+    tree = RoutingTree(five_net.n)
     tree.attach(2, 0)
     for c in (1, 3, 4, 5):
         tree.attach(c, 2)
@@ -235,7 +247,7 @@ def test_host_duty_equalizes_long_run():
 # -- heir election ------------------------------------------------------------
 
 def heir_fixture(net):
-    tree = RoutingTree()
+    tree = RoutingTree(net.n)
     tree.attach(2, 0)
     for c in (1, 3, 4, 5):
         tree.attach(c, 2)
@@ -251,7 +263,7 @@ def test_heirs_exactly_one_at_ph_zero(five_net):
 
 def test_heirs_single_child_forced():
     net = make_net([(10, 10), (20, 20)])
-    tree = RoutingTree()
+    tree = RoutingTree(net.n)
     tree.attach(1, 0)
     tree.attach(2, 1)
     heirs, msgs = elect_heirs(net, tree, [1], ProtocolParams(p_h=0.0), RandomStream(4))
@@ -271,7 +283,7 @@ def test_heirs_all_children_at_p1(five_net):
 
 
 def test_heirs_childless_first_level_skipped(five_net):
-    tree = RoutingTree()
+    tree = RoutingTree(five_net.n)
     tree.attach(1, 0)
     tree.attach(2, 0)
     for c in (3, 4, 5):
@@ -285,45 +297,45 @@ def test_heirs_childless_first_level_skipped(five_net):
 def test_relocate_smallest_instance():
     # first-level v=1 with single child c=2 (forced heir); host h=3 elsewhere
     net = make_net([(40, 50), (45, 50), (70, 50)])
-    tree = RoutingTree()
+    tree = RoutingTree(net.n)
     tree.attach(1, 0)
     tree.attach(2, 1)
     tree.attach(3, 1)
     # moves are silent: relocation returns no message log to charge
     assert relocate(net, tree, [1], [3], {1: [2]}) is None
-    assert tree.parent_of(2) == 0
-    assert tree.parent_of(1) == 3
-    assert tree.validate([1, 2, 3]) is None
+    assert tree.parent[2] == 0
+    assert tree.parent[1] == 3
+    assert validate(tree, [1, 2, 3]) is None
 
 
 def test_relocate_host_inside_own_cluster():
     """Host h is a child of first-level v, heir is sibling e: the ordering
     e->BS, h->e, v->h must produce a valid three-deep chain."""
     net = make_net([(30, 50), (35, 50), (36, 50)])  # v=1, e=2, h=3
-    tree = RoutingTree()
+    tree = RoutingTree(net.n)
     tree.attach(1, 0)
     tree.attach(2, 1)
     tree.attach(3, 1)
     relocate(net, tree, [1], [3], {1: [2]})
-    assert tree.parent_of(2) == 0
-    assert tree.parent_of(3) == 2
-    assert tree.parent_of(1) == 3
-    assert tree.level(1) == 3
-    assert tree.validate([1, 2, 3]) is None
+    assert tree.parent[2] == 0
+    assert tree.parent[3] == 2
+    assert tree.parent[1] == 3
+    assert level(tree, 1) == 3
+    assert validate(tree, [1, 2, 3]) is None
 
 
 def test_relocate_shared_nearest_host():
     # two first-level nodes pick the same host independently
     net = make_net([(20, 50), (80, 50), (50, 52), (50, 48), (50, 60)])
-    tree = RoutingTree()
+    tree = RoutingTree(net.n)
     tree.attach(1, 0)
     tree.attach(2, 0)
     tree.attach(3, 1)
     tree.attach(4, 2)
     tree.attach(5, 1)
     relocate(net, tree, [1, 2], [5], {1: [3], 2: [4]})
-    assert tree.parent_of(1) == 5 and tree.parent_of(2) == 5
-    assert tree.validate([1, 2, 3, 4, 5]) is None
+    assert tree.parent[1] == 5 and tree.parent[2] == 5
+    assert validate(tree, [1, 2, 3, 4, 5]) is None
 
 
 def test_relocate_rejects_host_overlap(five_net):
@@ -338,7 +350,7 @@ def test_least_round_one_equals_leach(five_net):
     params = ProtocolParams()
     a = least_setup(five_net, None, params, 1, RandomStream(7))
     b = leach_setup(make_net(FIVE_POSITIONS, energy=0.1), params, 1, RandomStream(7))
-    assert a.tree.parent_map() == b.tree.parent_map()
+    assert parent_map(a.tree) == parent_map(b.tree)
     assert msg_tuples(a.messages) == msg_tuples(b.messages)
     assert a.host_nodes == set() and a.heirs == {}
 
@@ -348,13 +360,13 @@ def test_least_round_two_golden_trace(five_net):
     params = ProtocolParams()
     stream = RandomStream(7)
     out1 = least_setup(five_net, None, params, 1, stream)
-    assert out1.tree.parent_map() == {1: 2, 2: 0, 3: 2, 4: 2, 5: 2}
+    assert parent_map(out1.tree) == {1: 2, 2: 0, 3: 2, 4: 2, 5: 2}
 
     out2 = least_setup(five_net, out1.tree, params, 2, stream)
     assert sorted(out2.host_nodes) == [1, 4, 5]
     assert out2.heirs == {2: [1]}
-    assert out2.tree.parent_map() == {1: 0, 2: 5, 3: 1, 4: 1, 5: 1}
-    assert out2.tree.level(2) == 3
+    assert parent_map(out2.tree) == {1: 0, 2: 5, 3: 1, 4: 1, 5: 1}
+    assert level(out2.tree, 2) == 3
     assert msg_tuples(out2.messages) == [
         ("hn_announce_to_bs", 1, pytest.approx(56.568542, abs=1e-6), 1),
         ("hn_announce_to_bs", 4, pytest.approx(56.568542, abs=1e-6), 1),
@@ -387,7 +399,7 @@ def test_least_matches_oracle_on_random_instances():
         want2, want_msgs, want_hosts, want_heirs = least_round_trace(
             pos, list(range(1, n + 1)), {}, want1, params, 2, ref
         )
-        assert out2.tree.parent_map() == want2
+        assert parent_map(out2.tree) == want2
         assert sorted(out2.host_nodes) == want_hosts
         assert {k: v for k, v in out2.heirs.items()} == want_heirs
         assert [(m.kind, m.sender) for m in checked(out2.messages)] == [
@@ -403,7 +415,7 @@ def test_least_degenerate_composition(five_net):
     before = set(out1.tree.first_level())
     out2 = least_setup(five_net, out1.tree, params, 2, stream)
     for f in before:
-        assert out2.tree.parent_of(f) in out2.host_nodes
+        assert out2.tree.parent[f] in out2.host_nodes
         assert f not in out2.tree.first_level()
 
 
@@ -425,7 +437,7 @@ def walk_rounds(protocol, seed, rounds, n=30, energy=1e9, p_h=0.1):
 
 def test_tree_valid_after_every_setup():
     for _, _, sim in walk_rounds("least", 5, 60):
-        assert sim.tree.validate(sim.net.alive_ids()) is None
+        assert validate(sim.tree, sim.net.alive_ids()) is None
 
 
 def test_heir_guarantee_and_promotion():
@@ -434,7 +446,7 @@ def test_heir_guarantee_and_promotion():
             continue  # round one or a stalled round
         for f in before:
             for heir in outcome.heirs.get(f, []):
-                assert sim.tree.parent_of(heir) == BS_ID
+                assert sim.tree.parent[heir] == BS_ID
 
 
 def test_first_level_turnover():
@@ -474,7 +486,7 @@ def test_setup_outcome_deterministic():
         for _, out, sim in walk_rounds("least", seed, 12):
             rows.append(
                 (
-                    tuple(sorted(sim.tree.parent_map().items())),
+                    tuple(sorted(parent_map(sim.tree).items())),
                     tuple((m.kind, m.sender, m.tx_distance, m.packets, m.receiver)
                           for m in checked(out.messages)),
                 )
@@ -503,4 +515,4 @@ def test_relocation_cycle_freedom_random_instances():
             except ProtocolStallError:
                 continue
             tree = out.tree
-            assert tree.validate(net.alive_ids()) is None
+            assert validate(tree, net.alive_ids()) is None

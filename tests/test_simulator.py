@@ -27,6 +27,7 @@ from least_sim.energy import charge, tx_cost
 from least_sim.simulator import METRICS_HEADER, metrics_csv
 
 from conftest import FIVE_POSITIONS, make_net
+from tree_reference import attached, nodes, parent_map, validate
 from trace_oracle import steady_trace
 
 
@@ -195,7 +196,7 @@ def steady_cases(draw):
     for _ in range(draw(st.integers(1, 3))):
         if sim.net.alive_count():
             sim.run_round()
-    eps, packets, parent = cfg.energy.epsilon_amp, cfg.packets_per_sender, sim.tree.parent_map()
+    eps, packets, parent = cfg.energy.epsilon_amp, cfg.packets_per_sender, parent_map(sim.tree)
     for i in sim.net.alive_ids():
         d = sim.net.dist(i, parent[i]) if i in parent else 0.0
         exact = eps * d * d * packets
@@ -229,7 +230,7 @@ def test_steady_phase_matches_oracle(sim):
     pos = dict(enumerate(net.table[0]))  # the base station at 0, then sensors 1..n
     energy = {i: net.energy[i] for i in range(1, net.n + 1)}
     packets = sim.config.packets_per_sender
-    total, delivered = steady_trace(pos, energy, sim.tree.parent_map(), senders, packets,
+    total, delivered = steady_trace(pos, energy, parent_map(sim.tree), senders, packets,
                                     sim.config.energy.epsilon_amp)
     sim.steady.round = 0.0  # this phase's spend alone, as at the start of a round
     assert sim._steady_phase() == (delivered, packets * len(senders))
@@ -243,7 +244,7 @@ def chain_sim(energies):
     cfg = SimConfig(n=len(energies), protocol="least", energy=EnergyParams(epsilon_amp=2.0**-30))
     positions = [(50.0, 50.0 - 16.0 * i) for i in range(1, len(energies) + 1)]
     sim = Simulation(cfg, net=make_net(positions, list(energies)))
-    sim.tree = RoutingTree()
+    sim.tree = RoutingTree(len(energies))
     sim.tree.attach_all((i, i - 1) for i in range(1, len(energies) + 1))
     return sim
 
@@ -273,7 +274,7 @@ def test_alive_sender_missing_from_map_raises():
 
 def test_parent_cycle_raises():
     sim = chain_sim([1.0, 1.0])
-    sim.tree._parent[1] = 2  # 1 -> 2 -> 1; attach refuses to build this
+    sim.tree.parent[1] = 2  # 1 -> 2 -> 1; attach refuses to build this
     with pytest.raises(RuntimeError, match="parent cycle"):
         sim._steady_phase()
     assert sim.setup.total + sim.steady.total == sim.initial_total - sim.net.total_energy()
@@ -304,8 +305,8 @@ def test_dead_nodes_prune_to_first_alive_ancestor():
     charge(sim.net, 2, 1.0)  # kill the only first-level node
     sim.run_round()
     tree = sim.tree
-    assert 2 not in tree
-    assert tree.validate(sim.net.alive_ids()) is None
+    assert not attached(tree, 2)
+    assert validate(tree, sim.net.alive_ids()) is None
 
 
 def test_sensor_killed_between_rounds_is_pruned():
@@ -314,13 +315,13 @@ def test_sensor_killed_between_rounds_is_pruned():
     for _ in range(4):  # deathless rounds: the prune runs once, then is skipped
         sim.run_round()
     assert sim.net.alive_count() == 20
-    victim = next(i for i in sim.tree.nodes() if sim.tree.children_of(i))
-    orphans = sim.tree.children_of(victim)
+    victim = next(i for i in nodes(sim.tree) if sim.tree.children[i])
+    orphans = list(sim.tree.children[victim])
     charge(sim.net, victim, 1.0)
     sim.run_round()
-    assert victim not in sim.tree
-    assert all(o in sim.tree for o in orphans)
-    assert sim.tree.validate(sim.net.alive_ids()) is None
+    assert not attached(sim.tree, victim)
+    assert all(attached(sim.tree, o) for o in orphans)
+    assert validate(sim.tree, sim.net.alive_ids()) is None
 
 
 def test_leach_runs_match_golden_digests():
@@ -393,7 +394,7 @@ def test_dead_first_level_orphans_become_first_level():
     m = sim.run_round()
     assert sim.tree.first_level() == [1, 3, 4, 5]
     assert m.setup_energy == 0.0  # no host candidates: stalled round
-    assert sim.tree.validate(sim.net.alive_ids()) is None
+    assert validate(sim.tree, sim.net.alive_ids()) is None
 
 
 def test_least_stall_keeps_map():
@@ -564,6 +565,33 @@ def test_sweep_runs_a_repeated_value_once_per_seed(monkeypatch):
     assert made == [0.3, 0.2] * 3
     assert rows == [sweep_phn(base, [0.3], [1, 2, 3])[0], sweep_phn(base, [0.2], [1, 2, 3])[0],
                     sweep_phn(base, [0.3], [1, 2, 3])[0]]
+
+
+def test_sweep_run_stops_at_its_half_life_or_the_cap(monkeypatch):
+    """A sweep run steps only to its half-life round; one that never gets
+    there runs to the round cap and reports it; one with no round reports 0."""
+    from least_sim import cli
+
+    made = []
+
+    class RecordingSimulation(Simulation):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self)
+
+    monkeypatch.delenv("LEAST_SIM_THREADS", raising=False)
+    monkeypatch.setattr(cli, "Simulation", RecordingSimulation)
+    base = SimConfig(n=12, seed=4, initial_energy=0.005, protocol="least", max_rounds=300,
+                     params=replace(SimConfig().params, p_hn=0.3))
+    full, summary = run(base)
+    assert sweep_phn(base, [0.3], [4]) == [(0.3, float(summary.half_life_round))]
+    assert made[0].round == summary.half_life_round < len(full)
+    made.clear()
+    assert sweep_phn(replace(base, initial_energy=1000.0, max_rounds=7), [0.3], [4]) == [(0.3, 7.0)]
+    assert made[0].round == 7 and made[0].net.alive_count() == 12
+    made.clear()
+    assert sweep_phn(replace(base, initial_energy=0.0), [0.3], [4]) == [(0.3, 0.0)]
+    assert made[0].round == 0
 
 
 # -- CSV emission ----------------------------------------------------------------
