@@ -418,11 +418,10 @@ def main(argv=None) -> int:
         elif args.command == "sweep":
             try:
                 values = [float(v) for v in args.p_hn.split(",")]
-            except ValueError:
-                raise ConfigError(f"bad --p-hn list: {args.p_hn!r}") from None
-            for v in values:
-                if not 0.0 <= v <= 1.0:
-                    raise ConfigError(f"p_hn out of [0,1]: {v}")
+                for v in values:  # ProtocolParams holds the range rule
+                    replace(config.params, p_hn=v)
+            except ValueError as exc:
+                raise ConfigError(f"bad --p-hn list {args.p_hn!r}: {exc}") from None
             cmd_sweep(config, values, seeds, args.out)
         elif args.command == "analyze":
             sys.stdout.write(cmd_analyze(config, seeds))

@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 import sys
 from array import array
+from bisect import bisect
 from dataclasses import dataclass
 from itertools import chain, repeat
 
@@ -26,6 +27,9 @@ _ONES = sum(1 << (128 * k) for k in range(_LANES))  # 1 in every lane
 _STEPS = sum(((k + 1) * _GAMMA) << (128 * k) for k in range(_LANES))
 _LOW_WORDS = _MASK64 * _ONES
 _BIG_ENDIAN = sys.byteorder == "big"
+
+_SLACK = 1.0 + 2.0**-40  # far wider than the ulp (2**-52) math.dist may be off by
+_SCAN_MAX = 63  # nearest scans candidate lists up to this long: at n=100 it is faster
 
 
 def _mix_block(state: int) -> list[int]:
@@ -141,8 +145,8 @@ class Network:
     (1..n; slot 0, the mains-powered base station's, holds 0.0 and None). A
     sensor is alive exactly when its energy is above zero: energy never
     rises, and whoever drops a sensor to 0.0 calls ``mark_dead`` so that the
-    ordered alive list agrees. ``last_ch`` / ``last_hn`` hold the last round
-    a sensor was cluster head / host node, None if never.
+    alive lists agree. ``last_ch`` / ``last_hn`` hold the last round a
+    sensor was cluster head / host node, None if never.
 
     Pairwise distances are precomputed once (positions never change), which
     keeps the per-round protocol loops cheap. Memory: (n+1)^2 floats at about
@@ -161,6 +165,9 @@ class Network:
             raise ValueError("initial energies must be finite and >= 0")
         self.n = n = len(positions)
         if table is None or table[0] != xy:
+            span = max(chain.from_iterable(xy)) - min(chain.from_iterable(xy))
+            if math.isinf(math.hypot(span, span)):  # the searches' bounds need finite distances
+                raise ValueError(f"sensor coordinates span {span}: distances would overflow")
             table = (xy, [list(map(math.dist, repeat(p), xy)) for p in xy])
         self.table, self._dist = table, table[1]
         self.energy = [0.0, *energies]
@@ -168,10 +175,13 @@ class Network:
         self.last_hn: list = [None] * (n + 1)
         self._alive_ids = [i for i, e in enumerate(self.energy) if e > 0]
         self._farthest: list = [None] * (n + 1)  # per source: farthest alive id
+        self._by_x = None  # (alive ids by x, lowest y, highest y), built on first rescan
 
     def mark_dead(self, node_id: int) -> None:
-        """Drop a sensor whose energy was just set to zero from the alive list."""
+        """Drop a sensor whose energy was just set to zero from the alive lists."""
         self._alive_ids.remove(node_id)
+        if self._by_x is not None:
+            self._by_x[0].remove(node_id)
 
     def alive_ids(self) -> list[int]:
         return list(self._alive_ids)
@@ -186,22 +196,48 @@ class Network:
     def nearest(self, candidates: list[int], sources: list[int]) -> list[tuple[int, float]]:
         """The nearest candidate to each source, as ``(id, distance)`` pairs.
 
-        ``candidates`` come in ascending id order and only a strictly
-        closer one replaces the best so far, so a tie goes to the smaller id.
-        """
+        ``candidates`` come in ascending id order; a tie goes to the smaller
+        id. Short lists are scanned in that order; from longer ones sorted by
+        x, each source walks outward until both x-gaps pass ``best * _SLACK``."""
         if not sources:
             return []
         if not candidates:
             raise ValueError("empty candidate set")
-        first, rest = candidates[0], candidates[1:]
         out = []
+        if len(candidates) <= _SCAN_MAX:
+            first, rest = candidates[0], candidates[1:]
+            for src in sources:
+                row = self._dist[src]
+                target, best = first, row[first]
+                for cand in rest:
+                    d = row[cand]
+                    if d < best:
+                        target, best = cand, d
+                out.append((target, best))
+            return out
+        xy = self.table[0]
+        order = [0, *sorted(candidates, key=xy.__getitem__), 0]
+        xs = [-math.inf, *[xy[c][0] for c in order[1:-1]], math.inf]  # ends no walk passes
         for src in sources:
-            row = self._dist[src]
-            target, best = first, row[first]
-            for cand in rest:
+            row, x = self._dist[src], xy[src][0]
+            hi = bisect(xs, x)
+            lo, gap_lo, gap_hi = hi - 1, x - xs[hi - 1], xs[hi] - x
+            target, best, reach = 0, math.inf, math.inf
+            while True:  # the side with the smaller x-gap steps next
+                if gap_lo < gap_hi:
+                    if gap_lo > reach:
+                        break
+                    i, lo = lo, lo - 1
+                    gap_lo = x - xs[lo]
+                else:
+                    if gap_hi > reach:
+                        break
+                    i, hi = hi, hi + 1
+                    gap_hi = xs[hi] - x
+                cand = order[i]
                 d = row[cand]
-                if d < best:
-                    target, best = cand, d
+                if d < best or d == best and cand < target:
+                    target, best, reach = cand, d, d * _SLACK
             out.append((target, best))
         return out
 
@@ -219,12 +255,26 @@ class Network:
         """Distance to the farthest other alive sensor; 0 when there is none.
 
         Cached per source: alive sets only shrink, so the farthest sensor
-        stays the farthest while it lives, and the float is the same."""
+        stays the farthest while it lives, and the float is the same. A rescan
+        walks the alive sensors by x from both ends inward (README, "Determinism")."""
         row, far = self._dist[from_id], self._farthest[from_id]
         if far is not None and self.energy[far] > 0:
             return row[far]
-        best, far = 0.0, None
-        for i in self._alive_ids:
+        xy = self.table[0]
+        if self._by_x is None:
+            ys = [y for _, y in xy]
+            self._by_x = sorted(self._alive_ids, key=xy.__getitem__), min(ys), max(ys)
+        (by_x, y_lo, y_hi), (x, y) = self._by_x, xy[from_id]
+        y_gap = max(y - y_lo, y_hi - y)
+        best, far, lo, hi = 0.0, None, 0, len(by_x) - 1
+        while lo <= hi:
+            gap_lo, gap_hi = x - xy[by_x[lo]][0], xy[by_x[hi]][0] - x
+            if gap_lo >= gap_hi:
+                i, gap, lo = by_x[lo], gap_lo, lo + 1
+            else:
+                i, gap, hi = by_x[hi], gap_hi, hi - 1
+            if math.hypot(gap, y_gap) * _SLACK < best:
+                break
             d = row[i]
             if d > best:
                 best, far = d, i

@@ -52,15 +52,6 @@ class EnergyTally:
         self.round, self.total = part, whole
 
 
-def tx_cost(d: float, packets: int, params: EnergyParams) -> float:
-    """Energy to transmit ``packets`` over distance ``d``."""
-    if d < 0:
-        raise ValueError(f"negative distance: {d}")
-    if packets < 0:
-        raise ValueError(f"negative packet count: {packets}")
-    return params.epsilon_amp * d * d * packets
-
-
 def _sensor_id(net: Network, node_id: int) -> int:
     """``node_id`` if it names a sensor (1..n); a bare list index would wrap -1."""
     if not 0 < node_id <= net.n:

@@ -169,7 +169,7 @@ class Simulation:
 
     def _steady_phase(self) -> tuple[int, int]:
         """Senders' packets climb the map, each forwarder charged inline in
-        sender-then-hop order exactly as ``charge(net, fwd, tx_cost(d, packets))``
+        sender-then-hop order exactly as ``charge(net, fwd, eps * d * d * packets)``
         would: one left at exactly zero dies but still sends the packet on."""
         packets = self.config.packets_per_sender
         senders = self._select_senders(self.net.alive_ids())

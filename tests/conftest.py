@@ -10,6 +10,16 @@ def checked(messages):
     return [ControlMessage(*m) for m in messages]
 
 
+def tx_cost(d, packets, params):
+    """Energy to transmit ``packets`` over distance ``d``: the per-message price
+    that ``apply_messages`` and the steady phase compute inline."""
+    if d < 0:
+        raise ValueError(f"negative distance: {d}")
+    if packets < 0:
+        raise ValueError(f"negative packet count: {packets}")
+    return params.epsilon_amp * d * d * packets
+
+
 def to_lines(tree):
     """A tree as one ``child parent`` line per edge, ascending child id."""
     edges = parent_map(tree)

@@ -376,6 +376,12 @@ def test_network_rejects_non_finite_coordinates(bad):
             Network(positions, Point(0, 0), [1.0, 1.0])
 
 
+def test_network_rejects_distances_that_overflow():
+    with pytest.raises(ValueError, match="distances would overflow"):
+        Network([(-1e308, 0.0), (1e308, 0.0)], Point(0, 0), [1.0, 1.0])
+    assert Network([(-1e307, 0.0), (1e307, 0.0)], Point(0, 0), [1.0, 1.0]).dist(1, 2) == 2e307
+
+
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0, -1e-300])
 def test_network_rejects_bad_energies(bad):
     # a NaN would be neither alive (> 0) nor dead (== 0.0)
@@ -422,23 +428,88 @@ def test_network_farthest_alone():
     assert net.farthest_alive_distance(1) == 0.0
 
 
+# A coarse grid, so that equal x, equal distances and shared farthest sensors
+# occur; base stations on it and off the field, outside the sensors' range.
+grid = st.integers(0, 8).map(lambda k: 12.5 * k)
+bs_spots = st.sampled_from([(50.0, 50.0), (0.0, 100.0), (-40.0, 50.0), (150.0, -20.0)])
+
+
+def grid_net(data, max_n):
+    """A ``Network`` of 1..max_n sensors on ``grid``; its table is either
+    math.dist's or every distance one ulp lower, as a rounding within the
+    ulp that math.dist promises may give."""
+    n = data.draw(st.integers(1, max_n))
+    positions = [(data.draw(grid), data.draw(grid)) for _ in range(n)]
+    bs = data.draw(bs_spots)
+    net = make_net(positions, bs=bs)
+    if data.draw(st.booleans()):
+        rows = [[math.nextafter(d, 0.0) for d in row] for row in net.table[1]]
+        net = Network(positions, Point(*bs), [1.0] * n, (net.table[0], rows))
+    return net
+
+
+def scan_nearest(net, candidates, sources):
+    """Ascending candidates, and only a strictly closer one replaces the best."""
+    out = []
+    for src in sources:
+        target = candidates[0]
+        for cand in candidates[1:]:
+            if net.dist(src, cand) < net.dist(src, target):
+                target = cand
+        out.append((target, net.dist(src, target)))
+    return out
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.data())
+def test_nearest_equals_scan_on_both_sides_of_the_size_switch(data):
+    net = grid_net(data, 100)
+    # the walk runs from 64 candidates on
+    size = data.draw(st.integers(min(net.n, 64) if data.draw(st.booleans()) else 1, net.n))
+    candidates = sorted(data.draw(st.permutations(range(1, net.n + 1)))[:size])
+    sources = data.draw(st.lists(st.integers(0, net.n), max_size=20))  # 0: the base station
+    assert net.nearest(candidates, sources) == scan_nearest(net, candidates, sources)
+
+
+def test_nearest_walk_gives_ties_to_the_smaller_id():
+    """Past the size switch, where candidates are walked by x from the
+    source, the smaller id still wins a tie met second: at distance 0 (two
+    sensors on the base station, met larger id first), and at an x-gap equal
+    to a distance already found, also with every distance an ulp low."""
+    fill = [(100.0, 1.0 * k) for k in range(62)]  # sensors 3..64, 50 m off in x
+    positions = [(25.0, 50.0), (50.0, 75.0), *fill, (50.0, 50.0), (50.0, 50.0)]
+    exact = make_net(positions)  # the base station at (50, 50)
+    low = [[math.nextafter(d, 0.0) for d in row] for row in exact.table[1]]
+    for net in (exact, Network(positions, Point(50, 50), [1.0] * 66, (exact.table[0], low))):
+        assert net.dist(0, 1) == net.dist(0, 2)
+        assert net.nearest(list(range(1, 65)), [0]) == [(1, net.dist(0, 1))]
+        assert net.nearest(list(range(1, 67)), [0]) == [(65, 0.0)]
+
+
+def test_farthest_alive_rescan_skips_the_dead():
+    net = make_net([(0.0, 50.0), (90.0, 50.0), (60.0, 50.0)])  # the base station at (50, 50)
+    assert net.farthest_alive_distance(0) == 50.0
+    charge(net, 1, 2.0)
+    assert net.farthest_alive_distance(0) == 40.0
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
 def test_farthest_alive_equals_brute_force_through_kills(data):
-    """The per-source cache answers exactly like a scan, while deaths come
-    through ``charge`` between queries."""
-    n = data.draw(st.integers(1, 8))
-    # a coarse grid, so that equal distances and shared farthest sensors occur
-    coord = st.integers(0, 4).map(lambda k: 25.0 * k)
-    net = make_net([(data.draw(coord), data.draw(coord)) for _ in range(n)], energy=1.0)
-    ids = range(0, n + 1)  # the base station too
+    """The per-source cache and the pruned rescan answer exactly like a scan,
+    while deaths come through ``charge`` between queries."""
+    net = grid_net(data, 60)
+    ids = list(range(0, net.n + 1))  # the base station too
+    rng = data.draw(st.randoms(use_true_random=False))
 
     def brute(i):
         return max([net.dist(i, j) for j in net.alive_ids() if j != i], default=0.0)
 
     while True:
-        for i in data.draw(st.permutations(ids)):
+        rng.shuffle(ids)
+        for i in ids:
             assert net.farthest_alive_distance(i) == brute(i), i
         if not net.alive_count():
             break
-        charge(net, data.draw(st.sampled_from(net.alive_ids())), 2.0)
+        for victim in rng.sample(net.alive_ids(), min(rng.randint(1, 3), net.alive_count())):
+            charge(net, victim, 2.0)

@@ -12,10 +12,10 @@ from least_sim import (
     apply_messages,
     leach_setup,
 )
-from least_sim.energy import DeadNodeError, charge, tx_cost
+from least_sim.energy import DeadNodeError, charge
 from least_sim.protocols import MESSAGE_KINDS
 
-from conftest import checked, make_net
+from conftest import checked, make_net, tx_cost
 
 
 def test_tx_cost_formula():

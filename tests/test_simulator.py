@@ -23,10 +23,10 @@ from least_sim import (
     run,
 )
 from least_sim.cli import parse_config, sweep_phn
-from least_sim.energy import charge, tx_cost
+from least_sim.energy import charge
 from least_sim.simulator import METRICS_HEADER, metrics_csv
 
-from conftest import FIVE_POSITIONS, make_net
+from conftest import FIVE_POSITIONS, make_net, tx_cost
 from tree_reference import attached, nodes, parent_map, validate
 from trace_oracle import steady_trace
 
