@@ -30,6 +30,7 @@ _BIG_ENDIAN = sys.byteorder == "big"
 
 _SLACK = 1.0 + 2.0**-40  # far wider than the ulp (2**-52) math.dist may be off by
 _SCAN_MAX = 63  # nearest scans candidate lists up to this long: at n=100 it is faster
+_TABLE_MAX = 400  # above this many sensors rows compute distances on demand (README, "Why 400")
 
 
 def _mix_block(state: int) -> list[int]:
@@ -138,6 +139,18 @@ def network_stats(positions) -> NetworkStats:
     return NetworkStats(d_bar=pair_sum / (m * (m - 1) / 2), d_bar_max=sum(far) / m)
 
 
+class _Row:
+    """``row[j]`` computes ``math.dist(p, xy[j])`` on demand: the float a table row holds."""
+
+    __slots__ = ("p", "xy")
+
+    def __init__(self, p, xy):
+        self.p, self.xy = p, xy
+
+    def __getitem__(self, j):
+        return math.dist(self.p, self.xy[j])
+
+
 class Network:
     """Sensor field: per-id run state; the base station is at id 0.
 
@@ -148,10 +161,11 @@ class Network:
     alive lists agree. ``last_ch`` / ``last_hn`` hold the last round a
     sensor was cluster head / host node, None if never.
 
-    Pairwise distances are precomputed once (positions never change), which
-    keeps the per-round protocol loops cheap. Memory: (n+1)^2 floats at about
-    32 bytes each (123 MiB at n=2000); ``SimConfig`` caps n at 10,000. An
-    earlier network's ``table`` (its ``(x, y)`` list, then its rows) is
+    Up to ``_TABLE_MAX`` sensors the pairwise distances are precomputed
+    once into list rows, (n+1)^2 floats at about 32 bytes each (5 MiB at
+    n=400). Above it each row is a ``_Row`` that computes the same
+    ``math.dist`` when read, and memory grows as n (README, "Determinism").
+    An earlier network's ``table`` (its ``(x, y)`` list, then its rows) is
     reused when the positions are equal: the rows are never written.
     """
 
@@ -168,7 +182,8 @@ class Network:
             span = max(chain.from_iterable(xy)) - min(chain.from_iterable(xy))
             if math.isinf(math.hypot(span, span)):  # the searches' bounds need finite distances
                 raise ValueError(f"sensor coordinates span {span}: distances would overflow")
-            table = (xy, [list(map(math.dist, repeat(p), xy)) for p in xy])
+            table = (xy, [list(map(math.dist, repeat(p), xy)) if n <= _TABLE_MAX
+                          else _Row(p, xy) for p in xy])
         self.table, self._dist = table, table[1]
         self.energy = [0.0, *energies]
         self.last_ch: list = [None] * (n + 1)
@@ -256,28 +271,35 @@ class Network:
 
         Cached per source: alive sets only shrink, so the farthest sensor
         stays the farthest while it lives, and the float is the same. A rescan
-        walks the alive sensors by x from both ends inward (README, "Determinism")."""
+        scans the alive sensors in a network with a table, and otherwise walks
+        them by x from both ends inward (README, "Determinism")."""
         row, far = self._dist[from_id], self._farthest[from_id]
         if far is not None and self.energy[far] > 0:
             return row[far]
-        xy = self.table[0]
-        if self._by_x is None:
-            ys = [y for _, y in xy]
-            self._by_x = sorted(self._alive_ids, key=xy.__getitem__), min(ys), max(ys)
-        (by_x, y_lo, y_hi), (x, y) = self._by_x, xy[from_id]
-        y_gap = max(y - y_lo, y_hi - y)
-        best, far, lo, hi = 0.0, None, 0, len(by_x) - 1
-        while lo <= hi:
-            gap_lo, gap_hi = x - xy[by_x[lo]][0], xy[by_x[hi]][0] - x
-            if gap_lo >= gap_hi:
-                i, gap, lo = by_x[lo], gap_lo, lo + 1
-            else:
-                i, gap, hi = by_x[hi], gap_hi, hi - 1
-            if math.hypot(gap, y_gap) * _SLACK < best:
-                break
-            d = row[i]
-            if d > best:
-                best, far = d, i
+        best, far = 0.0, None
+        if self.n <= _TABLE_MAX:  # a table row reads fast enough that the scan wins
+            for i in self._alive_ids:
+                d = row[i]
+                if d > best:
+                    best, far = d, i
+        else:
+            xy = self.table[0]
+            if self._by_x is None:
+                ys = [y for _, y in xy]
+                self._by_x = sorted(self._alive_ids, key=xy.__getitem__), min(ys), max(ys)
+            (by_x, y_lo, y_hi), (x, y) = self._by_x, xy[from_id]
+            y_gap, lo, hi = max(y - y_lo, y_hi - y), 0, len(by_x) - 1
+            while lo <= hi:
+                gap_lo, gap_hi = x - xy[by_x[lo]][0], xy[by_x[hi]][0] - x
+                if gap_lo >= gap_hi:
+                    i, gap, lo = by_x[lo], gap_lo, lo + 1
+                else:
+                    i, gap, hi = by_x[hi], gap_hi, hi - 1
+                if math.hypot(gap, y_gap) * _SLACK < best:
+                    break
+                d = row[i]
+                if d > best:
+                    best, far = d, i
         self._farthest[from_id] = far
         return best
 

@@ -26,7 +26,7 @@ from .tree import RoutingTree
 
 PROTOCOLS = ("leach", "least")
 
-#: Largest sensor count: ``Network`` holds (n+1)^2 distances, about 32 bytes each.
+#: Largest sensor count: ``analyze`` measures all n(n-1)/2 pairs, and runs slow as n grows.
 MAX_N = 10_000
 
 
@@ -55,9 +55,9 @@ class SimConfig:
         if self.n < 1:
             raise ValueError(f"n must be >= 1: {self.n}")
         if self.n > MAX_N:
-            cells = (self.n + 1) ** 2
-            raise ValueError(f"n must be <= {MAX_N}: {self.n} (the distance table would "
-                             f"hold {cells:,} floats, about {cells * 32 / 1e9:.1f} GB)")
+            pairs = self.n * (self.n - 1) // 2
+            raise ValueError(f"n must be <= {MAX_N}: {self.n} (analyze would measure "
+                             f"{pairs:,} sensor pairs, and runs slow as n grows)")
         for name in ("area_w", "area_h", "initial_energy"):
             value = getattr(self, name)
             if not math.isfinite(value):

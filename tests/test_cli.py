@@ -317,7 +317,7 @@ def test_main_n_above_table_cap_exit_one(tmp_path, capsys):
     code = main(["simulate", "--config", str(big), "--out", str(tmp_path / "o")])
     assert code == 1
     err = capsys.readouterr().err
-    assert "n must be <= 10000: 10001" in err and "distance table" in err
+    assert "n must be <= 10000: 10001" in err and "sensor pairs" in err
     assert not (tmp_path / "o").exists()  # rejected before the manifest
     assert SimConfig(n=10_000).n == 10_000  # the cap itself is allowed; no Network is built
 

@@ -1,6 +1,8 @@
 """Geometry, statistics, and random-stream contracts."""
 
 import math
+import random
+import tracemalloc
 from array import array
 
 import numpy as np
@@ -16,6 +18,7 @@ from least_sim import (
     network_stats,
     place_nodes,
 )
+from least_sim import core
 from least_sim.core import uniform_choice
 from least_sim.energy import DeadNodeError, charge
 from conftest import make_net
@@ -435,16 +438,17 @@ bs_spots = st.sampled_from([(50.0, 50.0), (0.0, 100.0), (-40.0, 50.0), (150.0, -
 
 
 def grid_net(data, max_n):
-    """A ``Network`` of 1..max_n sensors on ``grid``; its table is either
-    math.dist's or every distance one ulp lower, as a rounding within the
+    """A ``Network`` of 1..max_n sensors on ``grid``; its rows give either
+    math.dist's distances or every one an ulp lower, as a rounding within the
     ulp that math.dist promises may give."""
     n = data.draw(st.integers(1, max_n))
     positions = [(data.draw(grid), data.draw(grid)) for _ in range(n)]
     bs = data.draw(bs_spots)
     net = make_net(positions, bs=bs)
     if data.draw(st.booleans()):
-        rows = [[math.nextafter(d, 0.0) for d in row] for row in net.table[1]]
-        net = Network(positions, Point(*bs), [1.0] * n, (net.table[0], rows))
+        xy = net.table[0]
+        rows = [[math.nextafter(math.dist(p, q), 0.0) for q in xy] for p in xy]
+        net = Network(positions, Point(*bs), [1.0] * n, (xy, rows))
     return net
 
 
@@ -486,30 +490,88 @@ def test_nearest_walk_gives_ties_to_the_smaller_id():
         assert net.nearest(list(range(1, 67)), [0]) == [(65, 0.0)]
 
 
-def test_farthest_alive_rescan_skips_the_dead():
-    net = make_net([(0.0, 50.0), (90.0, 50.0), (60.0, 50.0)])  # the base station at (50, 50)
-    assert net.farthest_alive_distance(0) == 50.0
-    charge(net, 1, 2.0)
-    assert net.farthest_alive_distance(0) == 40.0
+def test_farthest_alive_rescan_skips_the_dead(monkeypatch):
+    for table_max in (core._TABLE_MAX, 0):  # the scan, then the walk
+        monkeypatch.setattr(core, "_TABLE_MAX", table_max)
+        net = make_net([(0.0, 50.0), (90.0, 50.0), (60.0, 50.0)])  # the base station at (50, 50)
+        assert net.farthest_alive_distance(0) == 50.0
+        charge(net, 1, 2.0)
+        assert net.farthest_alive_distance(0) == 40.0
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_farthest_alive_equals_brute_force_through_kills(data):
-    """The per-source cache and the pruned rescan answer exactly like a scan,
-    while deaths come through ``charge`` between queries."""
-    net = grid_net(data, 60)
-    ids = list(range(0, net.n + 1))  # the base station too
-    rng = data.draw(st.randoms(use_true_random=False))
+    """The per-source cache and the rescan, scanned or (with the size constant
+    patched to 0) walked, answer exactly like a brute-force scan, while deaths
+    come through ``charge`` between queries."""
+    with pytest.MonkeyPatch.context() as mp:
+        if data.draw(st.booleans()):
+            mp.setattr(core, "_TABLE_MAX", 0)
+        net = grid_net(data, 60)
+        ids = list(range(0, net.n + 1))  # the base station too
+        rng = data.draw(st.randoms(use_true_random=False))
 
-    def brute(i):
-        return max([net.dist(i, j) for j in net.alive_ids() if j != i], default=0.0)
+        def brute(i):
+            return max([net.dist(i, j) for j in net.alive_ids() if j != i], default=0.0)
 
-    while True:
+        while True:
+            rng.shuffle(ids)
+            for i in ids:
+                assert net.farthest_alive_distance(i) == brute(i), i
+            if not net.alive_count():
+                break
+            for victim in rng.sample(net.alive_ids(), min(rng.randint(1, 3), net.alive_count())):
+                charge(net, victim, 2.0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_on_demand_rows_answer_like_table_rows_through_kills(data):
+    """With the size constant patched to 0, a field builds rows that compute
+    distances on demand, and its rescans walk. Every search over them gives
+    the floats and ids it gives over the same field's table, as sensors die."""
+    n = data.draw(st.integers(1, 100))
+    positions = [(data.draw(grid), data.draw(grid)) for _ in range(n)]
+    bs = data.draw(bs_spots)
+    rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))  # st.randoms() took most of the time
+    table = make_net(positions, bs=bs)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(core, "_TABLE_MAX", 0)
+        rows = make_net(positions, bs=bs)
+    assert type(table.table[1][0]) is list and type(rows.table[1][0]) is not list
+    ids = list(range(n + 1))
+    assert [[rows.dist(a, b) for b in ids] for a in ids] == table.table[1]
+
+    def answers(net, candidates, sources, order):
+        searches = [net.nearest(candidates, sources), [net.farthest(s, candidates) for s in sources]]
+        return searches, [net.farthest_alive_distance(i) for i in order]
+
+    while table.alive_count():
+        alive = table.alive_ids()
+        assert rows.alive_ids() == alive
+        size = rng.randint(min(64, len(alive)) if rng.random() < 0.5 else 1, len(alive))
+        candidates = sorted(rng.sample(alive, size))  # 64 or more: nearest walks
+        sources = [rng.randint(0, n) for _ in range(rng.randint(0, 10))]
         rng.shuffle(ids)
-        for i in ids:
-            assert net.farthest_alive_distance(i) == brute(i), i
-        if not net.alive_count():
-            break
-        for victim in rng.sample(net.alive_ids(), min(rng.randint(1, 3), net.alive_count())):
-            charge(net, victim, 2.0)
+        want = answers(table, candidates, sources, ids)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(core, "_TABLE_MAX", 0)
+            assert answers(rows, candidates, sources, ids) == want
+        for victim in rng.sample(alive, min(rng.randint(1, 8), len(alive))):
+            charge(table, victim, 2.0)
+            charge(rows, victim, 2.0)
+
+
+def test_network_above_the_table_size_builds_no_table():
+    """At n=2000 a table would hold 2001**2 floats, about 128 MB; the rows
+    that compute on demand take a few hundred kB."""
+    positions = place_nodes(SimConfig(n=2000), RandomStream(1))
+    tracemalloc.start()
+    try:
+        net = Network(positions, Point(50.0, 50.0), [0.1] * 2000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert net.n > core._TABLE_MAX
+    assert peak < 4_000_000, peak

@@ -27,6 +27,8 @@ SWEEP_GRID = "0.1,0.6"
 # Small fields with small batteries, so that every run stops within a few
 # hundred rounds; together they cover partial and full traffic, reception
 # pricing, an overridden host-node window and a tiny field that dies out.
+# One field is above ``core._TABLE_MAX``: its rows compute distances on
+# demand, and its digests were made while every size built a table.
 PROFILES = {
     "traffic_full": "n = 30\ninitial_energy_j = 0.002\ntraffic_fraction = 1.0\nmax_rounds = 400\n",
     "traffic_half_rx": (
@@ -41,6 +43,7 @@ PROFILES = {
     # the reference field size: tree-protocol maps several levels deep and
     # first-level nodes with more than one heir
     "deep_trees": "n = 100\ninitial_energy_j = 0.004\ntraffic_fraction = 1.0\nmax_rounds = 120\n",
+    "above_table": "n = 500\ninitial_energy_j = 0.001\ntraffic_fraction = 0.5\nmax_rounds = 15\n",
 }
 
 

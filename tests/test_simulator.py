@@ -22,6 +22,7 @@ from least_sim import (
     place_nodes,
     run,
 )
+from least_sim import core
 from least_sim.cli import parse_config, sweep_phn
 from least_sim.energy import charge
 from least_sim.simulator import METRICS_HEADER, metrics_csv
@@ -521,6 +522,22 @@ def test_table_reused_across_runs_of_one_placement():
         sim = Simulation(other, table=first.net.table)
         assert sim.net._dist is not first.net._dist
         assert sim.net._dist == Simulation(other).net._dist
+
+
+@pytest.mark.parametrize("protocol", ["leach", "least"])
+def test_run_above_the_table_size_equals_a_table_run(protocol):
+    """One sensor above ``core._TABLE_MAX`` a run computes its distances on
+    demand; handed the full table of the same placement, it is the same run."""
+    cfg = SimConfig(n=core._TABLE_MAX + 1, seed=6, initial_energy=0.001,
+                    traffic_fraction=0.5, protocol=protocol, max_rounds=20)
+    on_demand = Simulation(cfg)
+    xy = on_demand.net.table[0]
+    table = Simulation(cfg, table=(xy, [[math.dist(p, q) for q in xy] for p in xy]))
+    assert type(on_demand.net._dist[0]) is not list and type(table.net._dist[0]) is list
+    assert on_demand.run() == table.run()
+    assert on_demand.net.alive_count() < cfg.n  # sensors died, so rescans ran
+    assert on_demand.last_outcome.messages == table.last_outcome.messages
+    assert on_demand.stream._state == table.stream._state
 
 
 # -- sweep ---------------------------------------------------------------------
