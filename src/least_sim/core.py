@@ -30,7 +30,7 @@ _BIG_ENDIAN = sys.byteorder == "big"
 
 _SLACK = 1.0 + 2.0**-40  # far wider than the ulp (2**-52) math.dist may be off by
 _SCAN_MAX = 63  # nearest scans candidate lists up to this long: at n=100 it is faster
-_TABLE_MAX = 400  # above this many sensors rows compute distances on demand (README, "Why 400")
+_TABLE_MAX = 700  # above this many sensors rows compute distances on demand (README, "Why 700")
 
 
 def _mix_block(state: int) -> list[int]:
@@ -162,8 +162,8 @@ class Network:
     sensor was cluster head / host node, None if never.
 
     Up to ``_TABLE_MAX`` sensors the pairwise distances are precomputed
-    once into list rows, (n+1)^2 floats at about 32 bytes each (5 MiB at
-    n=400). Above it each row is a ``_Row`` that computes the same
+    once into list rows, (n+1)^2 floats at about 32 bytes each (15 MiB at
+    n=700). Above it each row is a ``_Row`` that computes the same
     ``math.dist`` when read, and memory grows as n (README, "Determinism").
     An earlier network's ``table`` (its ``(x, y)`` list, then its rows) is
     reused when the positions are equal: the rows are never written.

@@ -437,19 +437,28 @@ grid = st.integers(0, 8).map(lambda k: 12.5 * k)
 bs_spots = st.sampled_from([(50.0, 50.0), (0.0, 100.0), (-40.0, 50.0), (150.0, -20.0)])
 
 
-def grid_net(data, max_n):
-    """A ``Network`` of 1..max_n sensors on ``grid``; its rows give either
-    math.dist's distances or every one an ulp lower, as a rounding within the
-    ulp that math.dist promises may give."""
+def grid_field(data, max_n):
+    """1..max_n sensor positions on ``grid``, a base station spot, and
+    whether the rows should read an ulp low (see ``build_grid_net``)."""
     n = data.draw(st.integers(1, max_n))
     positions = [(data.draw(grid), data.draw(grid)) for _ in range(n)]
-    bs = data.draw(bs_spots)
+    return positions, data.draw(bs_spots), data.draw(st.booleans())
+
+
+def build_grid_net(positions, bs, ulp_low):
+    """A ``Network`` whose rows give either math.dist's distances or every
+    one an ulp lower, as a rounding within the ulp that math.dist promises
+    may give."""
     net = make_net(positions, bs=bs)
-    if data.draw(st.booleans()):
+    if ulp_low:
         xy = net.table[0]
         rows = [[math.nextafter(math.dist(p, q), 0.0) for q in xy] for p in xy]
-        net = Network(positions, Point(*bs), [1.0] * n, (xy, rows))
+        net = Network(positions, Point(*bs), [1.0] * len(positions), (xy, rows))
     return net
+
+
+def grid_net(data, max_n):
+    return build_grid_net(*grid_field(data, max_n))
 
 
 def scan_nearest(net, candidates, sources):
@@ -502,27 +511,28 @@ def test_farthest_alive_rescan_skips_the_dead(monkeypatch):
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_farthest_alive_equals_brute_force_through_kills(data):
-    """The per-source cache and the rescan, scanned or (with the size constant
-    patched to 0) walked, answer exactly like a brute-force scan, while deaths
-    come through ``charge`` between queries."""
-    with pytest.MonkeyPatch.context() as mp:
-        if data.draw(st.booleans()):
-            mp.setattr(core, "_TABLE_MAX", 0)
-        net = grid_net(data, 60)
-        ids = list(range(0, net.n + 1))  # the base station too
-        rng = data.draw(st.randoms(use_true_random=False))
+    """The per-source cache and the rescan, scanned and then (with the size
+    constant patched to 0) walked over the same field, answer exactly like a
+    brute-force scan, while deaths come through ``charge`` between queries."""
+    field, seed = grid_field(data, 60), data.draw(st.integers(0, 2**32 - 1))
+    for table_max in (core._TABLE_MAX, 0):  # the scan, then the walk
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(core, "_TABLE_MAX", table_max)
+            net = build_grid_net(*field)
+            ids = list(range(0, net.n + 1))  # the base station too
+            rng = random.Random(seed)
 
-        def brute(i):
-            return max([net.dist(i, j) for j in net.alive_ids() if j != i], default=0.0)
+            def brute(i):
+                return max([net.dist(i, j) for j in net.alive_ids() if j != i], default=0.0)
 
-        while True:
-            rng.shuffle(ids)
-            for i in ids:
-                assert net.farthest_alive_distance(i) == brute(i), i
-            if not net.alive_count():
-                break
-            for victim in rng.sample(net.alive_ids(), min(rng.randint(1, 3), net.alive_count())):
-                charge(net, victim, 2.0)
+            while True:
+                rng.shuffle(ids)
+                for i in ids:
+                    assert net.farthest_alive_distance(i) == brute(i), i
+                if not net.alive_count():
+                    break
+                for victim in rng.sample(net.alive_ids(), min(rng.randint(1, 3), net.alive_count())):
+                    charge(net, victim, 2.0)
 
 
 @settings(max_examples=100, deadline=None)

@@ -43,7 +43,7 @@ PROFILES = {
     # the reference field size: tree-protocol maps several levels deep and
     # first-level nodes with more than one heir
     "deep_trees": "n = 100\ninitial_energy_j = 0.004\ntraffic_fraction = 1.0\nmax_rounds = 120\n",
-    "above_table": "n = 500\ninitial_energy_j = 0.001\ntraffic_fraction = 0.5\nmax_rounds = 15\n",
+    "above_table": "n = 800\ninitial_energy_j = 0.001\ntraffic_fraction = 0.5\nmax_rounds = 15\n",
 }
 
 
