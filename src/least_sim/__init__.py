@@ -2,10 +2,9 @@
 
 __version__ = "0.1.0"
 
-from .core import Network, Point, RandomStream, network_stats
+from .core import Network, RandomStream, network_stats
 from .energy import EnergyParams, EnergyTally, apply_messages
 from .protocols import (
-    ControlMessage,
     ProtocolParams,
     ProtocolStallError,
     SetupOutcome,
@@ -26,12 +25,10 @@ from .simulator import (
 from .tree import RoutingTree
 
 __all__ = [
-    "ControlMessage",
     "EnergyParams",
     "EnergyTally",
     "LifetimeSummary",
     "Network",
-    "Point",
     "ProtocolParams",
     "ProtocolStallError",
     "RandomStream",

@@ -21,7 +21,7 @@ from statistics import median
 
 from . import __version__
 from .analysis import compare_estimates
-from .core import NetworkStats, Point, RandomStream, network_stats
+from .core import NetworkStats, RandomStream, network_stats
 from .energy import EnergyParams
 from .protocols import ProtocolParams
 from .simulator import (
@@ -97,7 +97,7 @@ def parse_config(text: str) -> SimConfig:
     try:
         return SimConfig(
             n=v["n"], area_w=v["area_w"], area_h=v["area_h"],
-            bs_pos=Point(v["bs_x"], v["bs_y"]), initial_energy=v["initial_energy_j"],
+            bs_pos=(v["bs_x"], v["bs_y"]), initial_energy=v["initial_energy_j"],
             params=ProtocolParams(p_ch=v["p_ch"], p_hn=v["p_hn"], p_h=v["p_h"],
                                   hn_window=v["hn_window"]),
             energy=EnergyParams(epsilon_amp=v["epsilon_amp"], rx_cost=v["rx_cost_j"]),
@@ -121,7 +121,7 @@ def _config_values(config: SimConfig) -> dict:
     p, e = config.params, config.energy
     return {
         "n": config.n, "area_w": config.area_w, "area_h": config.area_h,
-        "bs_x": config.bs_pos.x, "bs_y": config.bs_pos.y, "initial_energy_j": config.initial_energy,
+        "bs_x": config.bs_pos[0], "bs_y": config.bs_pos[1], "initial_energy_j": config.initial_energy,
         "p_ch": p.p_ch, "p_hn": p.p_hn, "p_h": p.p_h, "hn_window": p.hn_window,
         "epsilon_amp": e.epsilon_amp, "rx_cost_j": e.rx_cost, "protocol": config.protocol,
         "seed": config.seed, "traffic_fraction": config.traffic_fraction,

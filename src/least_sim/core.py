@@ -12,7 +12,9 @@ import sys
 from array import array
 from bisect import bisect
 from dataclasses import dataclass
+from functools import reduce
 from itertools import chain, repeat
+from operator import add
 
 #: Reserved id of the base station, the root of every routing tree.
 BS_ID = 0
@@ -102,16 +104,6 @@ def uniform_choice(stream: RandomStream, items):
 
 
 @dataclass(frozen=True)
-class Point:
-    x: float
-    y: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.x) and math.isfinite(self.y)):
-            raise ValueError(f"non-finite coordinates: ({self.x}, {self.y})")
-
-
-@dataclass(frozen=True)
 class NetworkStats:
     d_bar: float      # mean distance over unordered sensor pairs
     d_bar_max: float  # mean over sensors of the distance to their farthest peer
@@ -136,7 +128,7 @@ def network_stats(positions) -> NetworkStats:
                 far[i] = d
             if d > far[j]:
                 far[j] = d
-    return NetworkStats(d_bar=pair_sum / (m * (m - 1) / 2), d_bar_max=sum(far) / m)
+    return NetworkStats(d_bar=pair_sum / (m * (m - 1) / 2), d_bar_max=reduce(add, far, 0.0) / m)
 
 
 class _Row:
@@ -169,12 +161,12 @@ class Network:
     reused when the positions are equal: the rows are never written.
     """
 
-    def __init__(self, positions, bs_pos: Point, energies, table: tuple | None = None):
+    def __init__(self, positions, bs_pos: tuple, energies, table: tuple | None = None):
         if len(positions) != len(energies):
             raise ValueError(f"{len(positions)} positions but {len(energies)} energies")
-        xy = [(bs_pos.x, bs_pos.y), *positions]
-        if not all(map(math.isfinite, chain.from_iterable(xy))):
-            raise ValueError("sensor coordinates must be finite")
+        xy = [bs_pos, *positions]
+        if set(map(len, xy)) != {2} or not all(map(math.isfinite, chain.from_iterable(xy))):
+            raise ValueError("sensor and base-station coordinates must be finite (x, y) pairs")
         if not all(map(math.isfinite, energies)) or min(energies, default=0.0) < 0:
             raise ValueError("initial energies must be finite and >= 0")
         self.n = n = len(positions)
@@ -304,6 +296,6 @@ class Network:
         return best
 
     def total_energy(self) -> float:
-        # dead sensors and slot 0 hold exactly 0.0, and adding 0.0 changes no
-        # partial sum, so this equals the alive sensors' sum in id order
-        return sum(self.energy)
+        # a left fold (``sum`` compensates from Python 3.12); dead sensors and slot 0
+        # hold 0.0, which changes no partial sum: this is the alive sensors' sum by id
+        return reduce(add, self.energy, 0.0)

@@ -82,7 +82,7 @@ def apply_messages(net: Network, messages, params: EnergyParams,
     """Charge a message log: senders pay epsilon * d^2 * packets.
 
     Each ``(kind, sender, tx_distance, packets, receiver)`` record must pass
-    ``ControlMessage``'s checks; senders are charged inline exactly as
+    ``check_message``; senders are charged inline exactly as
     ``charge`` would, in log order. Base-station sends are free (it is mains
     powered). A message whose sender already died earlier in the log is
     skipped: it was never transmitted. When reception pricing is on, the

@@ -16,7 +16,6 @@ what was sent, by whom, and over which distance, as plain
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import itemgetter
 
 from .core import BS_ID, Network, RandomStream, uniform_choice
 from .tree import RoutingTree
@@ -91,25 +90,6 @@ def check_message(kind, tx_distance, packets) -> None:
         raise ValueError(f"negative packet count: {packets}")
 
 
-class ControlMessage(tuple):
-    """One setup-phase transmission: ``(kind, sender, tx_distance, packets, receiver)``.
-
-    ``receiver`` is the addressee for point-to-point messages and None for
-    broadcasts (whose reach is ``tx_distance``). The energy model charges the
-    sender epsilon * d^2 per packet; base-station sends are free. Setup emits
-    the same fields as plain tuples; ``ControlMessage(*record)`` validates one
-    and names its fields.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, kind, sender, tx_distance, packets=1, receiver=None):
-        check_message(kind, tx_distance, packets)
-        return tuple.__new__(cls, (kind, sender, tx_distance, packets, receiver))
-
-    kind, sender, tx_distance, packets, receiver = (property(itemgetter(i)) for i in range(5))
-
-
 @dataclass
 class SetupOutcome:
     """Result of one setup phase: the map plus everything sent to build it,
@@ -137,15 +117,15 @@ def election_threshold(p: float, round_no: int, window: int) -> float:
     return min(p / denom, 1.0)
 
 
-def rotation_eligible(ids: list[int], last_rounds: list[int | None], round_no: int,
+def rotation_eligible(ids: list[int], last: list[int | None], round_no: int,
                       window: int) -> list[int]:
     """The ids, in order, that have not held a role within its rotation window.
 
-    ``last_rounds[k]`` is the last round ``ids[k]`` held the role, None if
-    never. A node serving in round r stays ineligible for rounds
-    r+1 .. r+window.
+    ``last[i]`` is the last round sensor ``i`` held the role, None if never
+    (``net.last_ch`` or ``net.last_hn``). A node serving in round r stays
+    ineligible for rounds r+1 .. r+window.
     """
-    return [i for i, last in zip(ids, last_rounds) if last is None or round_no - last > window]
+    return [i for i in ids if last[i] is None or round_no - last[i] > window]
 
 
 def _run_election(stream: RandomStream, eligible: list[int], threshold: float,
@@ -174,7 +154,7 @@ def leach_setup(net: Network, params: ProtocolParams, round_no: int,
         raise ValueError("no alive sensors")
     window = params.ch_rotation_window()
     last_ch = net.last_ch
-    eligible = rotation_eligible(alive, [last_ch[i] for i in alive], round_no, window)
+    eligible = rotation_eligible(alive, last_ch, round_no, window)
     threshold = election_threshold(params.p_ch, round_no, window)
     heads = _run_election(stream, eligible, threshold, eligible if eligible else alive)
     for h in heads:
@@ -204,7 +184,7 @@ def elect_host_nodes(net: Network, tree: RoutingTree, params: ProtocolParams,
     window = params.hn_rotation_window()
     last_hn = net.last_hn
     candidates = [i for i in net.alive_ids() if i not in first_level]
-    eligible = rotation_eligible(candidates, [last_hn[i] for i in candidates], round_no, window)
+    eligible = rotation_eligible(candidates, last_hn, round_no, window)
     if not eligible:
         raise ProtocolStallError(
             f"round {round_no}: no rotation-eligible host-node candidates"

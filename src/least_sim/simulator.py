@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import BS_ID, Network, Point, RandomStream
+from .core import BS_ID, Network, RandomStream
 from .energy import EnergyParams, EnergyTally, apply_messages
 from .protocols import (
     ProtocolParams,
@@ -41,7 +41,7 @@ class SimConfig:
     n: int = 100
     area_w: float = 100.0
     area_h: float = 100.0
-    bs_pos: Point = Point(50.0, 50.0)
+    bs_pos: tuple[float, float] = (50.0, 50.0)
     initial_energy: float = 0.1
     params: ProtocolParams = ProtocolParams()
     energy: EnergyParams = EnergyParams()
@@ -58,6 +58,9 @@ class SimConfig:
             pairs = self.n * (self.n - 1) // 2
             raise ValueError(f"n must be <= {MAX_N}: {self.n} (analyze would measure "
                              f"{pairs:,} sensor pairs, and runs slow as n grows)")
+        bs = self.bs_pos
+        if not (isinstance(bs, tuple) and len(bs) == 2 and all(map(math.isfinite, bs))):
+            raise ValueError(f"bs_pos must be an (x, y) tuple of finite numbers: {bs!r}")
         for name in ("area_w", "area_h", "initial_energy"):
             value = getattr(self, name)
             if not math.isfinite(value):

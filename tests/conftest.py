@@ -1,13 +1,23 @@
+from collections import namedtuple
+
 import pytest
 
-from least_sim import ControlMessage, Network, Point
+from least_sim import Network
+from least_sim.protocols import check_message
 
 from tree_reference import parent_map
 
 
+Message = namedtuple("Message", "kind sender tx_distance packets receiver")
+
+
 def checked(messages):
-    """Setup's plain message records, each validated and given field names."""
-    return [ControlMessage(*m) for m in messages]
+    """Setup's plain message records, each passed through ``check_message``
+    (the check ``apply_messages`` makes) and given field names."""
+    out = [Message(*m) for m in messages]
+    for m in out:
+        check_message(m.kind, m.tx_distance, m.packets)
+    return out
 
 
 def tx_cost(d, packets, params):
@@ -30,7 +40,7 @@ def make_net(positions, energy=1.0, bs=(50.0, 50.0)):
     """Sensors 1..n at ``positions``, each holding ``energy`` (or its own
     entry when ``energy`` is a list)."""
     energies = energy if isinstance(energy, list) else [energy] * len(positions)
-    return Network(list(positions), Point(*bs), energies)
+    return Network(list(positions), bs, energies)
 
 
 @pytest.fixture

@@ -20,7 +20,6 @@ from statistics import correlation, mean, median
 import pytest
 
 from least_sim import (
-    Point,
     ProtocolParams,
     ProtocolStallError,
     RandomStream,
@@ -47,7 +46,7 @@ PAPER_CONFIG = SimConfig(
     n=100,
     area_w=100.0,
     area_h=100.0,
-    bs_pos=Point(50.0, 50.0),
+    bs_pos=(50.0, 50.0),
     initial_energy=0.1,
     params=ProtocolParams(p_ch=0.1, p_hn=0.2, p_h=0.1),
     protocol="least",

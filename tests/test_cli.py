@@ -38,7 +38,7 @@ def test_empty_config_is_reference_profile():
     cfg = parse_config("")
     assert cfg == SimConfig()
     assert cfg.n == 100
-    assert cfg.bs_pos.x == 50.0
+    assert cfg.bs_pos == (50.0, 50.0)
     assert cfg.params.p_ch == 0.1
     assert cfg.energy.epsilon_amp == pytest.approx(50e-9)
 

@@ -1,5 +1,6 @@
 """Geometry, statistics, and random-stream contracts."""
 
+import builtins
 import math
 import random
 import tracemalloc
@@ -11,7 +12,6 @@ from hypothesis import given, settings, strategies as st
 
 from least_sim import (
     Network,
-    Point,
     RandomStream,
     SimConfig,
     Simulation,
@@ -32,8 +32,8 @@ def bernoulli(stream, p):
 
 
 def distance(a, b):
-    """Euclidean distance between two points."""
-    return math.hypot(a.x - b.x, a.y - b.y)
+    """Euclidean distance between two ``(x, y)`` points."""
+    return math.hypot(a[0] - b[0], a[1] - b[1])
 
 
 # -- random stream ------------------------------------------------------
@@ -228,16 +228,20 @@ def test_class_level_patch_of_next_u64_counts_every_draw(monkeypatch):
 # -- geometry -----------------------------------------------------------
 
 def test_distance_examples():
-    assert distance(Point(0, 0), Point(3, 4)) == 5.0
-    assert distance(Point(50, 50), Point(50, 50)) == 0.0
-    assert distance(Point(0, 0), Point(100, 100)) == pytest.approx(141.4214, abs=1e-4)
+    assert distance((0, 0), (3, 4)) == 5.0
+    assert distance((50, 50), (50, 50)) == 0.0
+    assert distance((0, 0), (100, 100)) == pytest.approx(141.4214, abs=1e-4)
 
 
-def test_point_rejects_non_finite():
-    with pytest.raises(ValueError):
-        Point(float("nan"), 0.0)
-    with pytest.raises(ValueError):
-        Point(0.0, float("inf"))
+def test_bs_pos_must_be_a_finite_pair():
+    for bad in [(float("nan"), 0.0), (0.0, float("inf")), (1.0,), (1.0, 2.0, 3.0)]:
+        with pytest.raises(ValueError, match="bs_pos"):
+            SimConfig(bs_pos=bad)
+        # Network checks the base station as it checks every sensor
+        with pytest.raises(ValueError, match="finite \\(x, y\\) pairs"):
+            Network([(1.0, 1.0)], bad, [1.0])
+    with pytest.raises(ValueError, match="bs_pos"):
+        SimConfig(bs_pos=[50.0, 50.0])  # a list would leave the config unhashable
 
 
 finite_coord = st.floats(min_value=-1000, max_value=1000, allow_nan=False)
@@ -246,7 +250,7 @@ finite_coord = st.floats(min_value=-1000, max_value=1000, allow_nan=False)
 @settings(max_examples=200, deadline=None)
 @given(finite_coord, finite_coord, finite_coord, finite_coord, finite_coord, finite_coord)
 def test_distance_metric_axioms(ax, ay, bx, by, cx, cy):
-    a, b, c = Point(ax, ay), Point(bx, by), Point(cx, cy)
+    a, b, c = (ax, ay), (bx, by), (cx, cy)
     assert distance(a, b) >= 0.0
     assert distance(a, b) == distance(b, a)
     assert distance(a, c) <= distance(a, b) + distance(b, c) + 1e-9
@@ -325,22 +329,30 @@ def test_stats_uniform_square_monte_carlo():
     assert abs(total / seeds - 52.14) < 2.0
 
 
+def fold(values):
+    """Floats added left to right, as ``sum`` adds them before Python 3.12 (3.12 compensates)."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
 def reference_stats(positions):
-    """The pair loop over Point attributes and math.hypot, kept as an oracle."""
-    pts = [Point(x, y) for x, y in positions]
+    """The pair loop over coordinate differences and math.hypot, kept as an oracle."""
+    pts = list(positions)
     m = len(pts)
     pair_sum = 0.0
     far = [0.0] * m
     for i in range(m):
-        pi = pts[i]
+        xi, yi = pts[i]
         for j in range(i + 1, m):
-            d = math.hypot(pi.x - pts[j].x, pi.y - pts[j].y)
+            d = math.hypot(xi - pts[j][0], yi - pts[j][1])
             pair_sum += d
             if d > far[i]:
                 far[i] = d
             if d > far[j]:
                 far[j] = d
-    return pair_sum / (m * (m - 1) / 2), sum(far) / m
+    return pair_sum / (m * (m - 1) / 2), fold(far) / m
 
 
 def test_stats_equal_hypot_reference_exactly():
@@ -352,6 +364,18 @@ def test_stats_equal_hypot_reference_exactly():
     for pair in zip(positions, positions[1:]):
         s = network_stats(pair)
         assert (s.d_bar, s.d_bar_max) == reference_stats(pair)
+
+
+def test_float_sums_do_not_depend_on_the_python_version(monkeypatch):
+    """``sum`` as Python 3.12 has it (compensated, like ``math.fsum``) must
+    not move a total energy or a mean farthest distance."""
+    positions = place_nodes(SimConfig(n=300), RandomStream(17))
+    far = [max(math.dist(p, q) for q in positions) for p in positions]
+    assert math.fsum(far) != fold(far) and math.fsum([0.1] * 10) != fold([0.1] * 10)
+    monkeypatch.setattr(builtins, "sum", math.fsum)
+    assert network_stats(positions).d_bar_max == fold(far) / len(far)
+    net = make_net([(float(i), 0.0) for i in range(10)], energy=0.1)
+    assert net.total_energy() == fold([0.1] * 10) == 0.9999999999999999
 
 
 def test_stats_bounds_invariant():
@@ -367,22 +391,33 @@ def test_stats_bounds_invariant():
 def test_network_requires_contiguous_ids():
     # ids are list positions, so one energy per position is the whole rule
     with pytest.raises(ValueError, match="2 positions but 3 energies"):
-        Network([(0, 0), (1, 1)], Point(0, 0), [1.0, 1.0, 1.0])
+        Network([(0, 0), (1, 1)], (0, 0), [1.0, 1.0, 1.0])
     with pytest.raises(ValueError, match="2 positions but 1 energies"):
-        Network([(0, 0), (1, 1)], Point(0, 0), [1.0])
+        Network([(0, 0), (1, 1)], (0, 0), [1.0])
+
+
+@pytest.mark.parametrize("n", [5, core._TABLE_MAX + 1])
+@pytest.mark.parametrize("bad", [(1.0, 2.0, 3.0), (1.0,)])
+def test_network_rejects_positions_that_are_not_pairs(n, bad):
+    """Above the table size no distance is read at construction, so only
+    the check can catch a malformed position before the run reads it."""
+    positions = place_nodes(SimConfig(n=n), RandomStream(1))
+    positions[n // 2] = bad
+    with pytest.raises(ValueError, match="finite \\(x, y\\) pairs"):
+        Network(positions, (50.0, 50.0), [1.0] * n)
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
 def test_network_rejects_non_finite_coordinates(bad):
     for positions in ([(bad, 0.0), (1.0, 1.0)], [(0.0, 0.0), (1.0, bad)]):
         with pytest.raises(ValueError, match="coordinates must be finite"):
-            Network(positions, Point(0, 0), [1.0, 1.0])
+            Network(positions, (0, 0), [1.0, 1.0])
 
 
 def test_network_rejects_distances_that_overflow():
     with pytest.raises(ValueError, match="distances would overflow"):
-        Network([(-1e308, 0.0), (1e308, 0.0)], Point(0, 0), [1.0, 1.0])
-    assert Network([(-1e307, 0.0), (1e307, 0.0)], Point(0, 0), [1.0, 1.0]).dist(1, 2) == 2e307
+        Network([(-1e308, 0.0), (1e308, 0.0)], (0, 0), [1.0, 1.0])
+    assert Network([(-1e307, 0.0), (1e307, 0.0)], (0, 0), [1.0, 1.0]).dist(1, 2) == 2e307
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0, -1e-300])
@@ -390,23 +425,23 @@ def test_network_rejects_bad_energies(bad):
     # a NaN would be neither alive (> 0) nor dead (== 0.0)
     for energies in ([bad, 1.0], [1.0, bad]):
         with pytest.raises(ValueError, match="finite and >= 0"):
-            Network([(0.0, 0.0), (1.0, 1.0)], Point(0, 0), energies)
+            Network([(0.0, 0.0), (1.0, 1.0)], (0, 0), energies)
 
 
 def test_network_distance_table(five_net):
     assert five_net.dist(1, 1) == 0.0
-    assert five_net.dist(1, 2) == pytest.approx(distance(Point(10, 10), Point(20, 80)))
-    assert five_net.dist(0, 5) == pytest.approx(distance(Point(50, 50), Point(55, 45)))
+    assert five_net.dist(1, 2) == pytest.approx(distance((10, 10), (20, 80)))
+    assert five_net.dist(0, 5) == pytest.approx(distance((50, 50), (55, 45)))
 
 
 def test_network_table_equals_hypot_reference():
     cfg = SimConfig(n=300)
     positions = place_nodes(cfg, RandomStream(17))
     net = Network(positions, cfg.bs_pos, [1.0] * cfg.n)
-    pts = [cfg.bs_pos] + [Point(x, y) for x, y in positions]
+    pts = [cfg.bs_pos, *positions]
     ids = range(len(pts))
-    for a, p in enumerate(pts):
-        expected = [math.hypot(p.x - q.x, p.y - q.y) for q in pts]
+    for a, (px, py) in enumerate(pts):
+        expected = [math.hypot(px - qx, py - qy) for qx, qy in pts]
         assert [net.dist(a, b) for b in ids] == expected, a
 
 
@@ -453,7 +488,7 @@ def build_grid_net(positions, bs, ulp_low):
     if ulp_low:
         xy = net.table[0]
         rows = [[math.nextafter(math.dist(p, q), 0.0) for q in xy] for p in xy]
-        net = Network(positions, Point(*bs), [1.0] * len(positions), (xy, rows))
+        net = Network(positions, bs, [1.0] * len(positions), (xy, rows))
     return net
 
 
@@ -493,7 +528,7 @@ def test_nearest_walk_gives_ties_to_the_smaller_id():
     positions = [(25.0, 50.0), (50.0, 75.0), *fill, (50.0, 50.0), (50.0, 50.0)]
     exact = make_net(positions)  # the base station at (50, 50)
     low = [[math.nextafter(d, 0.0) for d in row] for row in exact.table[1]]
-    for net in (exact, Network(positions, Point(50, 50), [1.0] * 66, (exact.table[0], low))):
+    for net in (exact, Network(positions, (50.0, 50.0), [1.0] * 66, (exact.table[0], low))):
         assert net.dist(0, 1) == net.dist(0, 2)
         assert net.nearest(list(range(1, 65)), [0]) == [(1, net.dist(0, 1))]
         assert net.nearest(list(range(1, 67)), [0]) == [(65, 0.0)]
@@ -579,7 +614,7 @@ def test_network_above_the_table_size_builds_no_table():
     positions = place_nodes(SimConfig(n=2000), RandomStream(1))
     tracemalloc.start()
     try:
-        net = Network(positions, Point(50.0, 50.0), [0.1] * 2000)
+        net = Network(positions, (50.0, 50.0), [0.1] * 2000)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

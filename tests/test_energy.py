@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from least_sim import (
-    ControlMessage,
     EnergyParams,
     EnergyTally,
     ProtocolParams,
@@ -76,14 +75,14 @@ def test_apply_empty_log_is_identity(five_net):
 
 def test_apply_single_announcement():
     net = make_net([(0, 0)], energy=1.0)
-    msg = ControlMessage("ch_announce", 1, 20.0)
+    msg = ("ch_announce", 1, 20.0, 1, None)
     apply_messages(net, [msg], EnergyParams(epsilon_amp=1e-6))
     assert net.energy[1] == pytest.approx(1.0 - 4e-4)
 
 
 def test_bs_messages_are_free(five_net):
     before = five_net.total_energy()
-    msg = ControlMessage("bs_notify_first_level", 0, 70.0)
+    msg = ("bs_notify_first_level", 0, 70.0, 1, None)
     apply_messages(five_net, [msg], EnergyParams())
     assert five_net.total_energy() == before
 
@@ -91,8 +90,8 @@ def test_bs_messages_are_free(five_net):
 def test_apply_skips_senders_dead_earlier_in_log():
     net = make_net([(0, 0), (3, 4)], energy=1e-9)
     msgs = [
-        ControlMessage("ch_announce", 1, 100.0),  # kills node 1
-        ControlMessage("join_request", 1, 100.0, receiver=2),  # never transmitted
+        ("ch_announce", 1, 100.0, 1, None),  # kills node 1
+        ("join_request", 1, 100.0, 1, 2),  # never transmitted
     ]
     apply_messages(net, msgs, EnergyParams(epsilon_amp=1.0))
     assert net.energy[1] == 0.0
@@ -143,7 +142,7 @@ def test_total_spend_reorder_invariant(line10_net):
 def test_rx_pricing_point_to_point():
     net = make_net([(0, 0), (3, 4)], energy=1.0)
     params = EnergyParams(epsilon_amp=0.0, rx_cost=0.01)
-    msg = ControlMessage("join_request", 1, 5.0, receiver=2)
+    msg = ("join_request", 1, 5.0, 1, 2)
     apply_messages(net, [msg], params)
     assert net.energy[1] == 1.0
     assert net.energy[2] == pytest.approx(0.99)
@@ -153,10 +152,26 @@ def test_rx_pricing_broadcast_radius():
     # nodes at distance 5 and 50 from the sender; broadcast reaches 10
     net = make_net([(0, 0), (5, 0), (50, 0)], energy=1.0)
     params = EnergyParams(epsilon_amp=0.0, rx_cost=0.01)
-    msg = ControlMessage("ch_announce", 1, 10.0)
+    msg = ("ch_announce", 1, 10.0, 1, None)
     apply_messages(net, [msg], params)
     assert net.energy[2] == pytest.approx(0.99)
     assert net.energy[3] == 1.0
+
+
+def test_setup_message_is_received_when_its_sender_dies_sending_it():
+    """A setup sender with less than the cost spends what it had and dies,
+    and its message is still received, unlike a steady-phase packet: the
+    addressee, or every alive sensor in a broadcast's reach, pays rx_cost."""
+    params = EnergyParams(epsilon_amp=1.0, rx_cost=0.01)  # a 5 m send costs 25 J
+    for record, payers, spent in [(("join_request", 1, 5.0, 1, 2), [2], 1e-9 + 0.01),
+                                  (("ch_announce", 1, 10.0, 1, None), [2, 3], 1e-9 + 0.01 + 0.01)]:
+        net = make_net([(0, 0), (3, 4), (6, 8)], energy=[1e-9, 1.0, 1.0])
+        tally = EnergyTally()
+        apply_messages(net, [record], params, tally)
+        assert net.energy[1] == 0.0 and net.alive_ids() == [2, 3]
+        assert [net.energy[i] for i in (2, 3)] == [1.0 - 0.01 if i in payers else 1.0
+                                                   for i in (2, 3)]
+        assert tally.total == spent  # the sender's last 1e-9 J, then each receiver
 
 
 def test_ledger_setup_steady_split():

@@ -4,7 +4,6 @@ draw-by-draw interpreter plus frozen golden traces."""
 import pytest
 
 from least_sim import (
-    ControlMessage,
     ProtocolParams,
     ProtocolStallError,
     RandomStream,
@@ -18,7 +17,12 @@ from least_sim import (
     relocate,
 )
 from least_sim.core import BS_ID, uniform_choice
-from least_sim.protocols import _run_election, election_threshold, rotation_eligible
+from least_sim.protocols import (
+    _run_election,
+    check_message,
+    election_threshold,
+    rotation_eligible,
+)
 
 from conftest import FIVE_POSITIONS, checked, make_net, to_lines
 from tree_reference import level, parent_map, validate
@@ -33,16 +37,16 @@ def msg_tuples(messages):
 
 def test_rotation_window_five_rounds():
     window = ProtocolParams(p_hn=0.2).hn_rotation_window()  # floor(1/0.2) = 5
-    blocked = [r for r in range(11, 20) if not rotation_eligible([1], [10], r, window)]
+    blocked = [r for r in range(11, 20) if not rotation_eligible([1], [None, 10], r, window)]
     assert blocked == [11, 12, 13, 14, 15]  # ineligible for exactly 5 rounds
-    # one call filters a whole id list, keeping its order
-    assert rotation_eligible([2, 1, 3], [10, None, 4], 12, window) == [1, 3]
+    # one call filters a whole id list, keeping its order; the history is per id
+    assert rotation_eligible([2, 1, 3], [None, None, 10, 4], 12, window) == [1, 3]
 
 
 def test_rotation_vacuous_history():
     params = ProtocolParams()
     for window in (params.ch_rotation_window(), params.hn_rotation_window()):
-        assert rotation_eligible([1], [None], 1, window) == [1]
+        assert rotation_eligible([1], [None, None], 1, window) == [1]
 
 
 def test_threshold_cycle():
@@ -78,18 +82,15 @@ def test_params_validation():
         ProtocolParams(p_hn=1.5)
 
 
-def test_control_message_contract():
-    msg = ControlMessage("join_request", 3, 12.5)
-    assert (msg.kind, msg.sender, msg.tx_distance) == ("join_request", 3, 12.5)
-    assert (msg.packets, msg.receiver) == (1, None)  # one packet, broadcast
-    msg = ControlMessage("heir_notify_parent", 4, 2.0, packets=0, receiver=7)
-    assert (msg.packets, msg.receiver) == (0, 7)
+def test_check_message_contract():
+    check_message("join_request", 12.5, 1)
+    check_message("heir_notify_parent", 0.0, 0)  # a zero-packet sibling announcement
     with pytest.raises(ValueError, match="unknown message kind"):
-        ControlMessage("relocate_join", 1, 1.0)
+        check_message("relocate_join", 1.0, 1)
     with pytest.raises(ValueError, match="negative tx_distance"):
-        ControlMessage("ch_announce", 1, -0.5)
+        check_message("ch_announce", -0.5, 1)
     with pytest.raises(ValueError, match="negative packet count"):
-        ControlMessage("ch_announce", 1, 1.0, packets=-1)
+        check_message("ch_announce", 1.0, -1)
 
 
 # -- cluster-head setup ------------------------------------------------------

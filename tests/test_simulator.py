@@ -12,7 +12,6 @@ from hypothesis import given, settings, strategies as st
 from least_sim import (
     EnergyParams,
     Network,
-    Point,
     ProtocolParams,
     RandomStream,
     RoutingTree,
@@ -497,11 +496,11 @@ def test_run_byte_identical_per_seed():
 
 def test_table_shared_only_for_equal_positions():
     ones = [1.0] * len(FIVE_POSITIONS)
-    a = Network(FIVE_POSITIONS, Point(50.0, 50.0), ones)
-    b = Network(FIVE_POSITIONS, Point(50.0, 50.0), ones, a.table)
+    a = Network(FIVE_POSITIONS, (50.0, 50.0), ones)
+    b = Network(FIVE_POSITIONS, (50.0, 50.0), ones, a.table)
     assert b._dist is a._dist and b.table is a.table
     moved = FIVE_POSITIONS[:-1] + [(55.0, 45.5)]
-    for positions, bs in ((moved, Point(50.0, 50.0)), (FIVE_POSITIONS, Point(0.0, 50.0))):
+    for positions, bs in ((moved, (50.0, 50.0)), (FIVE_POSITIONS, (0.0, 50.0))):
         net = Network(positions, bs, ones, a.table)
         fresh = Network(positions, bs, ones)
         assert net._dist is not a._dist and net._dist == fresh._dist
@@ -518,7 +517,7 @@ def test_table_reused_across_runs_of_one_placement():
     assert second.net.alive_count() == cfg.n  # per-run state is never shared
     assert second.net._farthest is not first.net._farthest
     assert second.run() == Simulation(replace(cfg, protocol="leach")).run()
-    for other in (replace(cfg, seed=4), replace(cfg, bs_pos=Point(0.0, 0.0))):
+    for other in (replace(cfg, seed=4), replace(cfg, bs_pos=(0.0, 0.0))):
         sim = Simulation(other, table=first.net.table)
         assert sim.net._dist is not first.net._dist
         assert sim.net._dist == Simulation(other).net._dist
