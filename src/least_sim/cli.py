@@ -16,6 +16,7 @@ import sys
 from concurrent import futures
 from dataclasses import replace
 from functools import partial
+from operator import attrgetter
 from pathlib import Path
 from statistics import median
 
@@ -25,6 +26,7 @@ from .core import NetworkStats, RandomStream, network_stats
 from .energy import EnergyParams
 from .protocols import ProtocolParams
 from .simulator import (
+    PROTOCOLS,
     LifetimeSummary,
     RoundMetrics,
     SimConfig,
@@ -48,19 +50,20 @@ class ConfigError(Exception):
 
 # -- config files -----------------------------------------------------
 
-def _parse_int(key, raw, line_no):
+def _parse_value(key, raw, line_no):
+    """``raw`` as the type of ``key``'s default; ``hn_window``'s None default also takes ``auto``."""
+    default = _DEFAULTS[key]
+    if isinstance(default, str):
+        return raw
+    if default is None and raw == "auto":
+        return None
+    number = float if isinstance(default, float) else int
     try:
-        return int(raw)
+        value = number(raw)
     except ValueError:
-        raise ConfigError(f"line {line_no}: {key} must be an integer, got {raw!r}") from None
-
-
-def _parse_float(key, raw, line_no):
-    try:
-        value = float(raw)
-    except ValueError:
-        raise ConfigError(f"line {line_no}: {key} must be a number, got {raw!r}") from None
-    if not math.isfinite(value):
+        kind = "a number" if number is float else "an integer"
+        raise ConfigError(f"line {line_no}: {key} must be {kind}, got {raw!r}") from None
+    if number is float and not math.isfinite(value):
         raise ConfigError(f"line {line_no}: {key} must be finite, got {raw!r}")
     return value
 
@@ -84,14 +87,7 @@ def parse_config(text: str) -> SimConfig:
             raise ConfigError(f"line {line_no}: unknown key {key!r}")
         if key in values:
             raise ConfigError(f"line {line_no}: duplicate key {key!r}")
-        if key in ("n", "seed", "packets_per_sender", "max_rounds"):
-            values[key] = _parse_int(key, raw, line_no)
-        elif key == "hn_window":
-            values[key] = None if raw == "auto" else _parse_int(key, raw, line_no)
-        elif key == "protocol":
-            values[key] = raw
-        else:
-            values[key] = _parse_float(key, raw, line_no)
+        values[key] = _parse_value(key, raw, line_no)
 
     v = {**_DEFAULTS, **values}
     try:
@@ -292,31 +288,21 @@ def median_by_round(series: list[list[RoundMetrics]], getter):
 
 
 def compare_table(results, seeds) -> list[str]:
-    leach_rows = [results[("leach", s)][0] for s in seeds]
-    least_rows = [results[("least", s)][0] for s in seeds]
-    leach_dead = median_by_round(leach_rows, lambda r: r.dead_count)
-    least_dead = median_by_round(least_rows, lambda r: r.dead_count)
-    leach_energy = median_by_round(leach_rows, lambda r: r.total_energy)
-    least_energy = median_by_round(least_rows, lambda r: r.total_energy)
-    length = max(len(leach_dead), len(least_dead))
-
-    def cell(vals, idx):
-        return fmt_float(vals[idx]) if idx < len(vals) else ""
-
+    """Per-round median deaths, then energy, of each protocol, as ``COMPARE_HEADER`` orders them."""
+    columns = [median_by_round([results[(p, s)][0] for s in seeds], attrgetter(field))
+               for field in ("dead_count", "total_energy") for p in PROTOCOLS]
     lines = [COMPARE_HEADER]
-    for idx in range(length):
-        lines.append(
-            f"{idx + 1},{cell(leach_dead, idx)},{cell(least_dead, idx)},"
-            f"{cell(leach_energy, idx)},{cell(least_energy, idx)}"
-        )
+    for idx in range(max(map(len, columns))):
+        cells = (fmt_float(col[idx]) if idx < len(col) else "" for col in columns)
+        lines.append(",".join([str(idx + 1), *cells]))
     return lines
 
 
 def cmd_compare(config: SimConfig, seeds, out_dir) -> Path:
     """Merged per-round median curves for both protocols."""
     out = Path(out_dir)
-    write_manifest(out, "compare", config, seeds, ["leach", "least"])
-    results = run_many(config, ["leach", "least"], seeds)
+    write_manifest(out, "compare", config, seeds, PROTOCOLS)
+    results = run_many(config, PROTOCOLS, seeds)
     path = out / "compare.csv"
     path.write_text("\n".join(compare_table(results, seeds)) + "\n")
     return path
@@ -324,11 +310,9 @@ def cmd_compare(config: SimConfig, seeds, out_dir) -> Path:
 
 def cmd_sweep(config: SimConfig, values, seeds, out_dir) -> Path:
     """Half-life medians across a host-node probability grid."""
-    if not values:
-        raise ValueError("sweep needs at least one value")
+    rows = sweep_phn(config, values, seeds)
     out = Path(out_dir)
     write_manifest(out, "sweep", config, seeds, [config.protocol], extra={"p_hn": list(values)})
-    rows = sweep_phn(config, values, seeds)
     lines = [SWEEP_HEADER]
     for value, half in rows:
         lines.append(f"{fmt_float(value)},{fmt_float(half)}")
@@ -354,12 +338,8 @@ def cmd_analyze(config: SimConfig, seeds) -> str:
         d_bar_max += stats.d_bar_max
     stats = NetworkStats(d_bar / len(seeds), d_bar_max / len(seeds))
     est = compare_estimates(config.n, config.params, stats, config.energy.epsilon_amp)
-    return (
-        ANALYZE_HEADER
-        + "\n"
-        + f"{fmt_float(est.least_estimate)},{fmt_float(est.leach_estimate)},{fmt_float(est.difference)}"
-        + "\n"
-    )
+    cells = (est.least_estimate, est.leach_estimate, est.difference)
+    return f"{ANALYZE_HEADER}\n{','.join(map(fmt_float, cells))}\n"
 
 
 # -- argparse front end ------------------------------------------------
@@ -382,7 +362,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p_sim)
     p_sim.add_argument(
         "--protocol",
-        choices=["leach", "least", "both"],
+        choices=[*PROTOCOLS, "both"],
         default=None,
         help="default: the config's protocol",
     )
@@ -411,7 +391,7 @@ def main(argv=None) -> int:
         seeds = parse_seeds(args.seeds)
         if args.command == "simulate":
             choice = args.protocol or config.protocol
-            protocols = ["leach", "least"] if choice == "both" else [choice]
+            protocols = list(PROTOCOLS) if choice == "both" else [choice]
             cmd_simulate(config, seeds, protocols, args.out)
         elif args.command == "compare":
             cmd_compare(config, seeds, args.out)

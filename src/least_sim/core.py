@@ -103,6 +103,11 @@ def uniform_choice(stream: RandomStream, items):
     return items[stream.next_u64() % len(items)]
 
 
+def finite_xy(points) -> bool:
+    """Whether every point is an ``(x, y)`` pair of finite numbers."""
+    return set(map(len, points)) <= {2} and all(map(math.isfinite, chain.from_iterable(points)))
+
+
 @dataclass(frozen=True)
 class NetworkStats:
     d_bar: float      # mean distance over unordered sensor pairs
@@ -116,6 +121,8 @@ def network_stats(positions) -> NetworkStats:
     m = len(pts)
     if m < 2:
         raise ValueError("network statistics need at least two sensors")
+    if not finite_xy(pts):
+        raise ValueError("network statistics need finite (x, y) positions")
     dist = math.dist
     pair_sum = 0.0
     far = [0.0] * m
@@ -165,7 +172,7 @@ class Network:
         if len(positions) != len(energies):
             raise ValueError(f"{len(positions)} positions but {len(energies)} energies")
         xy = [bs_pos, *positions]
-        if set(map(len, xy)) != {2} or not all(map(math.isfinite, chain.from_iterable(xy))):
+        if not finite_xy(xy):
             raise ValueError("sensor and base-station coordinates must be finite (x, y) pairs")
         if not all(map(math.isfinite, energies)) or min(energies, default=0.0) < 0:
             raise ValueError("initial energies must be finite and >= 0")

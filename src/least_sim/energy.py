@@ -89,13 +89,13 @@ def apply_messages(net: Network, messages, params: EnergyParams,
     addressee pays rx_cost per packet, and broadcasts (receiver None) charge
     every alive sensor within tx_distance.
     """
-    eps, rx_cost = params.epsilon_amp, params.rx_cost
+    eps, rx_cost, inf = params.epsilon_amp, params.rx_cost, math.inf
     energy, mark_dead, n = net.energy, net.mark_dead, net.n
     spent = []  # in charge order; tallied even if a later record is rejected
     pay = spent.append
     try:
         for kind, sender, d, packets, receiver in messages:
-            if kind not in MESSAGE_KINDS or d < 0 or packets < 0:
+            if kind not in MESSAGE_KINDS or not 0.0 <= d < inf or packets < 0:
                 check_message(kind, d, packets)  # raises, naming what is wrong
             if sender != BS_ID:
                 if not 0 < sender <= n:

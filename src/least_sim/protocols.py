@@ -15,6 +15,7 @@ what was sent, by whom, and over which distance, as plain
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .core import BS_ID, Network, RandomStream, uniform_choice
@@ -63,6 +64,8 @@ class ProtocolParams:
                 raise ValueError(f"{name} out of [0,1]: {v}")
         if self.p_ch == 0.0:
             raise ValueError("p_ch must be positive")
+        if self.hn_window is not None and not isinstance(self.hn_window, int):
+            raise ValueError(f"hn_window must be an integer or None: {self.hn_window!r}")
         if self.hn_window is not None and self.hn_window < 0:
             raise ValueError(f"hn_window must be >= 0: {self.hn_window}")
 
@@ -81,11 +84,13 @@ def _default_window(p: float) -> int:
 
 
 def check_message(kind, tx_distance, packets) -> None:
-    """Reject an unknown kind or a negative distance or packet count."""
+    """Reject an unknown kind, a negative or non-finite distance, or a negative packet count."""
     if kind not in MESSAGE_KINDS:
         raise ValueError(f"unknown message kind: {kind}")
     if tx_distance < 0:
         raise ValueError(f"negative tx_distance: {tx_distance}")
+    if not math.isfinite(tx_distance):
+        raise ValueError(f"non-finite tx_distance: {tx_distance}")
     if packets < 0:
         raise ValueError(f"negative packet count: {packets}")
 

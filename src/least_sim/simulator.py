@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import BS_ID, Network, RandomStream
+from .core import BS_ID, Network, RandomStream, finite_xy
 from .energy import EnergyParams, EnergyTally, apply_messages
 from .protocols import (
     ProtocolParams,
@@ -52,6 +52,9 @@ class SimConfig:
     max_rounds: int = 20000
 
     def __post_init__(self):
+        for name in ("n", "seed", "packets_per_sender", "max_rounds"):
+            if not isinstance(getattr(self, name), int):
+                raise ValueError(f"{name} must be an integer: {getattr(self, name)!r}")
         if self.n < 1:
             raise ValueError(f"n must be >= 1: {self.n}")
         if self.n > MAX_N:
@@ -59,7 +62,7 @@ class SimConfig:
             raise ValueError(f"n must be <= {MAX_N}: {self.n} (analyze would measure "
                              f"{pairs:,} sensor pairs, and runs slow as n grows)")
         bs = self.bs_pos
-        if not (isinstance(bs, tuple) and len(bs) == 2 and all(map(math.isfinite, bs))):
+        if not (isinstance(bs, tuple) and finite_xy([bs])):
             raise ValueError(f"bs_pos must be an (x, y) tuple of finite numbers: {bs!r}")
         for name in ("area_w", "area_h", "initial_energy"):
             value = getattr(self, name)

@@ -10,9 +10,10 @@ from pathlib import Path
 from statistics import median
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import least_sim
-from least_sim import EnergyParams, SimConfig, cli, run
+from least_sim import EnergyParams, ProtocolParams, SimConfig, cli, run
 from least_sim.cli import (
     ANALYZE_HEADER,
     COMPARE_HEADER,
@@ -29,6 +30,7 @@ from least_sim.cli import (
     parse_config,
     parse_seeds,
 )
+from least_sim.simulator import PROTOCOLS
 
 
 SMALL = "n = 8\ninitial_energy_j = 0.005\nmax_rounds = 120\n"
@@ -70,10 +72,33 @@ def test_parse_rejects_duplicates():
         parse_config("n = 5\nn = 6\n")
 
 
-def test_config_round_trip():
-    cfg = parse_config("n = 17\np_h = 0.25\nhn_window = 3\nseed = 9\n")
+def _floats(lo=None, hi=None, exclude_lo=False):
+    return st.floats(lo, hi, exclude_min=exclude_lo, allow_nan=False, allow_infinity=False)
+
+
+VALID_CONFIGS = st.builds(
+    SimConfig,
+    n=st.integers(1, 10_000),
+    area_w=_floats(0.0, exclude_lo=True),
+    area_h=_floats(0.0, exclude_lo=True),
+    bs_pos=st.tuples(_floats(), _floats()),
+    initial_energy=_floats(0.0),
+    params=st.builds(ProtocolParams, p_ch=_floats(0.0, 1.0, exclude_lo=True), p_hn=_floats(0.0, 1.0),
+                     p_h=_floats(0.0, 1.0), hn_window=st.none() | st.integers(min_value=0)),
+    energy=st.builds(EnergyParams, epsilon_amp=_floats(0.0), rx_cost=_floats(0.0)),
+    protocol=st.sampled_from(PROTOCOLS),
+    seed=st.integers(-(2**64), 2**64),
+    traffic_fraction=_floats(0.0, 1.0),
+    packets_per_sender=st.integers(min_value=0),
+    max_rounds=st.integers(min_value=1),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(VALID_CONFIGS)
+@example(SimConfig())
+def test_config_round_trip(cfg):
     assert parse_config(format_config(cfg)) == cfg
-    assert parse_config(format_config(SimConfig())) == SimConfig()
 
 
 def test_load_config_missing_file(tmp_path):
@@ -194,6 +219,12 @@ def test_sweep_csv(tmp_path):
     assert lines[1].startswith("0.2,")
 
 
+def test_sweep_empty_list_raises_before_manifest(tmp_path):
+    with pytest.raises(ValueError, match="at least one value"):
+        cmd_sweep(parse_config(SMALL), [], [1], tmp_path / "o")
+    assert not (tmp_path / "o" / "manifest.json").exists()
+
+
 def test_sweep_reproducible(tmp_path):
     cfg = parse_config("n = 6\ninitial_energy_j = 0.002\nmax_rounds = 200\n")
     p1 = cmd_sweep(cfg, [0.1, 0.4], [1, 2], tmp_path / "x")
@@ -301,6 +332,17 @@ def test_main_rejection_names_the_key(tmp_path, capsys, args, key):
     assert not (tmp_path / "o" / "manifest.json").exists()
 
 
+@pytest.mark.parametrize("key", ["n", "seed", "packets_per_sender", "max_rounds", "hn_window"])
+@pytest.mark.parametrize("raw", ["2.0", "1e3"])
+def test_main_non_integer_value_exit_one(tmp_path, capsys, key, raw):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(f"{key} = {raw}\n")
+    code = main(["simulate", "--config", str(bad), "--out", str(tmp_path / "o")])
+    assert code == 1
+    assert f"{key} must be an integer" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "manifest.json").exists()
+
+
 def test_non_finite_values_rejected_in_constructors():
     for field in ("area_w", "area_h", "initial_energy"):
         with pytest.raises(ValueError, match=field):
@@ -309,6 +351,15 @@ def test_non_finite_values_rejected_in_constructors():
         EnergyParams(epsilon_amp=float("inf"))
     with pytest.raises(ValueError, match="finite"):
         EnergyParams(rx_cost=float("nan"))
+
+
+@pytest.mark.parametrize("make, field, value", [
+    (SimConfig, "n", 5.5), (SimConfig, "seed", 1.5), (SimConfig, "packets_per_sender", 1.0),
+    (SimConfig, "max_rounds", 2.5), (ProtocolParams, "hn_window", 3.0),
+])
+def test_non_integer_values_rejected_in_constructors(make, field, value):
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        make(**{field: value})
 
 
 def test_main_n_above_table_cap_exit_one(tmp_path, capsys):

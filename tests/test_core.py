@@ -301,6 +301,14 @@ def test_stats_needs_two_nodes():
         network_stats([(1, 1)])
 
 
+@pytest.mark.parametrize("positions", [
+    [(0, 0), (math.nan, 4)], [(0, 0), (3, math.inf)], [(0, 0, 0), (3, 4, 0)], [(0, 0), (3, 4, 0)],
+])
+def test_stats_reject_non_finite_and_3d_positions(positions):
+    with pytest.raises(ValueError, match=r"finite \(x, y\) positions"):
+        network_stats(positions)
+
+
 def test_stats_match_numpy_brute_force():
     """Independent pairwise enumeration via numpy, exact to 1e-12."""
     rng = np.random.default_rng(7)

@@ -254,6 +254,8 @@ def test_apply_rejects_malformed_records():
     params = EnergyParams()
     for record in [("relocate_join", 1, 1.0, 1, None),
                    ("ch_announce", 1, -0.5, 1, None),
+                   ("ch_announce", 1, float("nan"), 1, None),
+                   ("ch_announce", 1, float("inf"), 1, None),
                    ("join_request", 1, 1.0, -1, 2)]:
         net = make_net([(0, 0), (3, 4)])
         tally = EnergyTally()

@@ -89,6 +89,9 @@ def test_check_message_contract():
         check_message("relocate_join", 1.0, 1)
     with pytest.raises(ValueError, match="negative tx_distance"):
         check_message("ch_announce", -0.5, 1)
+    for distance in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="non-finite tx_distance"):
+            check_message("ch_announce", distance, 1)
     with pytest.raises(ValueError, match="negative packet count"):
         check_message("ch_announce", 1.0, -1)
 
