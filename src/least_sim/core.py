@@ -179,8 +179,9 @@ class Network:
         self.n = n = len(positions)
         if table is None or table[0] != xy:
             span = max(chain.from_iterable(xy)) - min(chain.from_iterable(xy))
-            if math.isinf(math.hypot(span, span)):  # the searches' bounds need finite distances
-                raise ValueError(f"sensor coordinates span {span}: distances would overflow")
+            # the searches' bounds need finite distances and every price eps*d*d a finite d*d
+            if math.isinf(2.0 * span * span):
+                raise ValueError(f"sensor coordinates span {span}: squared distances would overflow")
             table = (xy, [list(map(math.dist, repeat(p), xy)) if n <= _TABLE_MAX
                           else _Row(p, xy) for p in xy])
         self.table, self._dist = table, table[1]

@@ -95,7 +95,8 @@ def apply_messages(net: Network, messages, params: EnergyParams,
     pay = spent.append
     try:
         for kind, sender, d, packets, receiver in messages:
-            if kind not in MESSAGE_KINDS or not 0.0 <= d < inf or packets < 0:
+            if (kind not in MESSAGE_KINDS or not 0.0 <= d < inf
+                    or type(packets) is not int or packets < 0):
                 check_message(kind, d, packets)  # raises, naming what is wrong
             if sender != BS_ID:
                 if not 0 < sender <= n:

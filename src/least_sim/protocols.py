@@ -64,7 +64,8 @@ class ProtocolParams:
                 raise ValueError(f"{name} out of [0,1]: {v}")
         if self.p_ch == 0.0:
             raise ValueError("p_ch must be positive")
-        if self.hn_window is not None and not isinstance(self.hn_window, int):
+        if self.hn_window is not None and (not isinstance(self.hn_window, int)
+                                           or isinstance(self.hn_window, bool)):
             raise ValueError(f"hn_window must be an integer or None: {self.hn_window!r}")
         if self.hn_window is not None and self.hn_window < 0:
             raise ValueError(f"hn_window must be >= 0: {self.hn_window}")
@@ -84,13 +85,16 @@ def _default_window(p: float) -> int:
 
 
 def check_message(kind, tx_distance, packets) -> None:
-    """Reject an unknown kind, a negative or non-finite distance, or a negative packet count."""
+    """Reject an unknown kind, a negative or non-finite distance, or a packet
+    count that is not a non-negative ``int`` (a bool, a float and NaN included)."""
     if kind not in MESSAGE_KINDS:
         raise ValueError(f"unknown message kind: {kind}")
     if tx_distance < 0:
         raise ValueError(f"negative tx_distance: {tx_distance}")
     if not math.isfinite(tx_distance):
         raise ValueError(f"non-finite tx_distance: {tx_distance}")
+    if type(packets) is not int:
+        raise ValueError(f"packets must be an int: {packets!r}")
     if packets < 0:
         raise ValueError(f"negative packet count: {packets}")
 
@@ -165,16 +169,17 @@ def leach_setup(net: Network, params: ProtocolParams, round_no: int,
     for h in heads:
         last_ch[h] = round_no
 
-    tree = RoutingTree(net.n)
-    tree.attach_all([(h, BS_ID) for h in heads])
+    parent: list[int | None] = [None] * (net.n + 1)
+    for h in heads:
+        parent[h] = BS_ID
     far = net.farthest_alive_distance
     messages = [(CH_ANNOUNCE, h, far(h), 1, None) for h in heads]
-    head_set = set(heads)
-    members = [m for m in alive if m not in head_set]
+    members = [m for m in alive if parent[m] is None]
     joins = net.nearest(heads, members)
-    tree.attach_all([(m, target) for m, (target, _) in zip(members, joins)])
+    for m, (target, _) in zip(members, joins):
+        parent[m] = target
     messages += [(JOIN_REQUEST, m, d, 1, target) for m, (target, d) in zip(members, joins)]
-    return SetupOutcome(tree, messages)
+    return SetupOutcome(RoutingTree.from_parents(parent), messages)
 
 
 def elect_host_nodes(net: Network, tree: RoutingTree, params: ProtocolParams,
@@ -185,10 +190,10 @@ def elect_host_nodes(net: Network, tree: RoutingTree, params: ProtocolParams,
     rotation-eligible candidate exists at all, which the simulator treats as
     "keep this round's map unchanged".
     """
-    first_level = set(tree.first_level())
+    parent = tree.parent
     window = params.hn_rotation_window()
     last_hn = net.last_hn
-    candidates = [i for i in net.alive_ids() if i not in first_level]
+    candidates = [i for i in net.alive_ids() if parent[i] != BS_ID]
     eligible = rotation_eligible(candidates, last_hn, round_no, window)
     if not eligible:
         raise ProtocolStallError(
@@ -200,7 +205,8 @@ def elect_host_nodes(net: Network, tree: RoutingTree, params: ProtocolParams,
     for h in hosts:
         last_hn[h] = round_no
         messages.append((HN_ANNOUNCE_TO_BS, h, net.dist(h, BS_ID), 1, BS_ID))
-    messages.append((BS_NOTIFY_FIRST_LEVEL, BS_ID, net.farthest(BS_ID, first_level), 1, None))
+    notice = net.farthest(BS_ID, tree.children[BS_ID])
+    messages.append((BS_NOTIFY_FIRST_LEVEL, BS_ID, notice, 1, None))
     return hosts, messages
 
 
@@ -242,11 +248,11 @@ def elect_heirs(net: Network, tree: RoutingTree, first_level, params: ProtocolPa
 def relocate(net: Network, tree: RoutingTree, first_level, host_nodes, heirs) -> None:
     """Demote every first-level node and promote its heirs, as one transaction.
 
-    Computed from the map as it stood at round start, applied in an order
-    that cannot close a cycle: heirs rise to the base station first, the
-    remaining former children re-home under their parent's nearest heir,
-    and only then does each former first-level node (now childless) join its
-    nearest host node. Deeper descendants keep their parents throughout.
+    Computed from the map as it stood at round start and written into its
+    parent list, then its child lists derived again: heirs rise to the base
+    station, the remaining former children re-home under their parent's
+    nearest heir, and each former first-level node joins its nearest host
+    node, never one of the formers. Deeper descendants keep their parents.
 
     Every move is silent, as in the closed-form setup estimate
     (``analysis.estimate_least``), which charges host announcements and three
@@ -263,15 +269,17 @@ def relocate(net: Network, tree: RoutingTree, first_level, host_nodes, heirs) ->
     if overlap:
         raise ValueError(f"host nodes may not be first-level nodes: {sorted(overlap)}")
 
-    orphans = [tree.detach_subtree_root(f) for f in former]
-    tree.attach_all([(heir, BS_ID) for f in former for heir in heirs.get(f, ())])
-    moves = []
-    for f, kids in zip(former, orphans):
+    parent, children = tree.parent, tree.children
+    for f in former:
         own_heirs = heirs.get(f, [])
-        movers = [c for c in kids if c not in own_heirs]
-        moves += [(c, target) for c, (target, _) in zip(movers, net.nearest(own_heirs, movers))]
-    tree.attach_all(moves)
-    tree.attach_all([(f, host) for f, (host, _) in zip(former, net.nearest(hosts, former))])
+        for heir in own_heirs:
+            parent[heir] = BS_ID
+        movers = [c for c in children[f] if c not in own_heirs]
+        for c, (target, _) in zip(movers, net.nearest(own_heirs, movers)):
+            parent[c] = target
+    for f, (host, _) in zip(former, net.nearest(hosts, former)):
+        parent[f] = host
+    tree.derive_children()
 
 
 def least_setup(net: Network, tree: RoutingTree | None, params: ProtocolParams,
@@ -279,7 +287,8 @@ def least_setup(net: Network, tree: RoutingTree | None, params: ProtocolParams,
     """One tree-based setup phase; round one is plain cluster-head setup.
 
     For later rounds the existing map is transformed in place: host-node
-    election, heir election, then relocation. The message log is the
+    election, heir election, then relocation, which rewrites the map's
+    parent list and derives its child lists once. The message log is the
     concatenation of the election messages in execution order; relocation
     adds none.
     """

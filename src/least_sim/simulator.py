@@ -53,8 +53,12 @@ class SimConfig:
 
     def __post_init__(self):
         for name in ("n", "seed", "packets_per_sender", "max_rounds"):
-            if not isinstance(getattr(self, name), int):
-                raise ValueError(f"{name} must be an integer: {getattr(self, name)!r}")
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer: {value!r}")
+        for name, kind in (("params", ProtocolParams), ("energy", EnergyParams)):
+            if not isinstance(getattr(self, name), kind):
+                raise ValueError(f"{name} must be a {kind.__name__}: {getattr(self, name)!r}")
         if self.n < 1:
             raise ValueError(f"n must be >= 1: {self.n}")
         if self.n > MAX_N:

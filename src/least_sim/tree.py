@@ -10,11 +10,12 @@ from .core import BS_ID
 class RoutingTree:
     """Rooted map over ids 0..n with the base station (id 0) as root.
 
-    Per-id lists that callers read in place and only its methods write:
-    ``parent[i]`` is None while i is detached (and for the BS), and
-    ``children[i]`` is ascending, so iteration is deterministic. A detached
-    node may still own a floating subtree, which rides along when it is
-    re-attached.
+    Per-id lists that callers read in place: ``parent[i]`` is None while i
+    is detached (and for the BS), and ``children[i]`` is ascending, so
+    iteration is deterministic. A detached node may still own a floating
+    subtree, which rides along when it is re-attached. The setups write a
+    parent list and derive the child lists from it, unchecked; the checked
+    edge-by-edge methods serve tests and hand-built maps.
     """
 
     __slots__ = ("n", "parent", "children")
@@ -23,6 +24,23 @@ class RoutingTree:
         self.n = n
         self.parent: list[int | None] = [None] * (n + 1)
         self.children: list[list[int]] = [[] for _ in range(n + 1)]
+
+    @classmethod
+    def from_parents(cls, parent: list) -> RoutingTree:
+        """The map over ``parent`` (kept, not copied); see ``derive_children``."""
+        tree = cls.__new__(cls)
+        tree.n, tree.parent = len(parent) - 1, parent
+        tree.derive_children()
+        return tree
+
+    def derive_children(self) -> None:
+        """Rebuild every child list from ``parent`` in one pass over ids, so
+        each is ascending. No id, edge or cycle check."""
+        children = [[] for _ in self.parent]
+        for i, p in enumerate(self.parent):
+            if p is not None:
+                children[p].append(i)
+        self.children = children
 
     def _check_id(self, node: int) -> None:
         if not 0 <= node <= self.n:
@@ -83,17 +101,15 @@ class RoutingTree:
 
     def pruned(self, alive) -> RoutingTree:
         """A new map without the nodes whose ``alive[i]`` is false, each kept
-        node under its first kept ancestor. One pass over ids, so every child
-        list comes out ascending; a floating subtree stays floating."""
-        parent, kept = self.parent, RoutingTree(self.n)
+        node under its first kept ancestor; a floating subtree stays
+        floating."""
+        parent, kept = self.parent, [None] * (self.n + 1)
         for i in range(1, self.n + 1):
             p = parent[i] if alive[i] else None
             while p is not None and p != BS_ID and not alive[p]:
                 p = parent[p]
-            if p is not None:
-                kept.parent[i] = p
-                kept.children[p].append(i)
-        return kept
+            kept[i] = p
+        return RoutingTree.from_parents(kept)
 
     def first_level(self) -> list[int]:
         """Children of the base station, ascending (a copy)."""

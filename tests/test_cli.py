@@ -356,10 +356,20 @@ def test_non_finite_values_rejected_in_constructors():
 @pytest.mark.parametrize("make, field, value", [
     (SimConfig, "n", 5.5), (SimConfig, "seed", 1.5), (SimConfig, "packets_per_sender", 1.0),
     (SimConfig, "max_rounds", 2.5), (ProtocolParams, "hn_window", 3.0),
+    # a bool is an int to isinstance, yet n=True would run a one-sensor field
+    (SimConfig, "n", True), (SimConfig, "seed", False), (SimConfig, "packets_per_sender", True),
+    (SimConfig, "max_rounds", True), (ProtocolParams, "hn_window", True),
 ])
 def test_non_integer_values_rejected_in_constructors(make, field, value):
     with pytest.raises(ValueError, match=f"{field} must be an integer"):
         make(**{field: value})
+
+
+@pytest.mark.parametrize("field, kind", [("params", "ProtocolParams"), ("energy", "EnergyParams")])
+@pytest.mark.parametrize("value", [None, {}])
+def test_parameter_objects_rejected_unless_their_type(field, kind, value):
+    with pytest.raises(ValueError, match=f"{field} must be a {kind}"):
+        SimConfig(**{field: value})
 
 
 def test_main_n_above_table_cap_exit_one(tmp_path, capsys):

@@ -425,7 +425,16 @@ def test_network_rejects_non_finite_coordinates(bad):
 def test_network_rejects_distances_that_overflow():
     with pytest.raises(ValueError, match="distances would overflow"):
         Network([(-1e308, 0.0), (1e308, 0.0)], (0, 0), [1.0, 1.0])
-    assert Network([(-1e307, 0.0), (1e307, 0.0)], (0, 0), [1.0, 1.0]).dist(1, 2) == 2e307
+    # finite distances whose squares overflow: every sender would die pricing one message
+    for positions in ([(-1e307, 0.0), (1e307, 0.0)], [(0.0, 0.0), (1e154, 1e154)]):
+        with pytest.raises(ValueError, match="squared distances would overflow"):
+            Network(positions, (0, 0), [1.0, 1.0])
+    assert Network([(-1e153, 0.0), (1e153, 0.0)], (0, 0), [1.0, 1.0]).dist(1, 2) == 2e153
+
+
+def test_simulation_rejects_a_field_whose_costs_overflow():
+    with pytest.raises(ValueError, match="squared distances would overflow"):
+        Simulation(SimConfig(area_w=1e308, area_h=1e308))
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0, -1e-300])

@@ -256,7 +256,9 @@ def test_apply_rejects_malformed_records():
                    ("ch_announce", 1, -0.5, 1, None),
                    ("ch_announce", 1, float("nan"), 1, None),
                    ("ch_announce", 1, float("inf"), 1, None),
-                   ("join_request", 1, 1.0, -1, 2)]:
+                   ("join_request", 1, 1.0, -1, 2),
+                   *[("ch_announce", 1, 1.0, packets, None)
+                     for packets in (float("nan"), float("inf"), 1.5, True)]]:
         net = make_net([(0, 0), (3, 4)])
         tally = EnergyTally()
         first = ("ch_announce", 2, 10.0, 1, None)

@@ -1,10 +1,16 @@
-"""Frozen golden corpus: SHA-256 digests of every file the CLI writes.
+"""Frozen golden corpus: SHA-256 digests of every file the CLI writes, and
+of every run's exact floats.
 
 Each profile below runs ``simulate`` (both protocols), ``compare``,
 ``sweep`` and ``analyze`` over four seeds on one worker, and every output
 file (``manifest.json`` included, ``analyze``'s stdout as ``analyze.csv``)
-is hashed. A refactor must leave every digest unchanged. A change to the
-model on purpose regenerates the corpus, in a commit of its own, with
+is hashed into ``golden/digests.json``. The files print nine significant
+digits, so ``golden/bits.json`` also hashes, per profile, protocol and
+seed, each run's state to the last bit: every ``RoundMetrics`` field (floats
+as ``float.hex``), the ``LifetimeSummary``, the random stream's state, the
+delivered packet count and both energy tallies' totals. A refactor must
+leave every digest unchanged. A change to the model on purpose regenerates
+the corpus, in a commit of its own, with
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -15,11 +21,15 @@ import io
 import json
 import os
 import sys
+from dataclasses import astuple, replace
 from pathlib import Path
 
-from least_sim.cli import main
+from least_sim import Simulation
+from least_sim.cli import main, parse_config, parse_seeds
+from least_sim.simulator import PROTOCOLS
 
 DIGESTS = Path(__file__).parent / "golden" / "digests.json"
+BITS = Path(__file__).parent / "golden" / "bits.json"
 
 SEEDS = "1..4"
 SWEEP_GRID = "0.1,0.6"
@@ -74,6 +84,36 @@ def compute_digests(workdir: Path) -> dict[str, str]:
     return digests
 
 
+def _exact(value) -> str:
+    return value.hex() if isinstance(value, float) else repr(value)
+
+
+def compute_bits() -> dict[str, str]:
+    """Run each profile's config per protocol and seed; digest its exact state."""
+    bits = {}
+    for name, text in PROFILES.items():
+        config = parse_config(text)
+        for protocol in PROTOCOLS:
+            for seed in parse_seeds(SEEDS):
+                sim = Simulation(replace(config, protocol=protocol, seed=seed))
+                rows, summary = sim.run()
+                lines = [",".join(map(_exact, astuple(row))) for row in rows]
+                lines.append(",".join(map(_exact, astuple(summary))))
+                lines.append(",".join(map(_exact, (sim.stream._state, sim.delivered_total,
+                                                   sim.setup.total, sim.steady.total))))
+                record = "\n".join(lines) + "\n"
+                bits[f"{name}/{protocol}_seed{seed}"] = hashlib.sha256(record.encode()).hexdigest()
+    return bits
+
+
+def test_golden_bits_identical():
+    want = json.loads(BITS.read_text())
+    got = compute_bits()
+    assert sorted(got) == sorted(want)
+    changed = [key for key in sorted(want) if got[key] != want[key]]
+    assert not changed, f"runs differ from the golden bits: {changed}"
+
+
 def test_golden_corpus_byte_identical(tmp_path, monkeypatch):
     monkeypatch.delenv("LEAST_SIM_THREADS", raising=False)
     want = json.loads(DIGESTS.read_text())
@@ -89,6 +129,8 @@ if __name__ == "__main__":
     os.environ.pop("LEAST_SIM_THREADS", None)
     with tempfile.TemporaryDirectory() as tmp:
         digests = compute_digests(Path(tmp))
+    bits = compute_bits()
     DIGESTS.parent.mkdir(exist_ok=True)
     DIGESTS.write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n")
-    print(f"wrote {len(digests)} digests to {DIGESTS}", file=sys.stderr)
+    BITS.write_text(json.dumps(bits, indent=1, sort_keys=True) + "\n")
+    print(f"wrote {len(digests)} digests to {DIGESTS} and {len(bits)} to {BITS}", file=sys.stderr)

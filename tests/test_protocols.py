@@ -2,6 +2,7 @@
 draw-by-draw interpreter plus frozen golden traces."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from least_sim import (
     ProtocolParams,
@@ -25,7 +26,7 @@ from least_sim.protocols import (
 )
 
 from conftest import FIVE_POSITIONS, checked, make_net, to_lines
-from tree_reference import level, parent_map, validate
+from tree_reference import DictRoutingTree, level, parent_map, validate
 from trace_oracle import leach_trace, least_round_trace
 
 
@@ -94,6 +95,9 @@ def test_check_message_contract():
             check_message("ch_announce", distance, 1)
     with pytest.raises(ValueError, match="negative packet count"):
         check_message("ch_announce", 1.0, -1)
+    for packets in (float("nan"), float("inf"), 1.5, 2.0, True, None):
+        with pytest.raises(ValueError, match="packets must be an int"):
+            check_message("ch_announce", 1.0, packets)
 
 
 # -- cluster-head setup ------------------------------------------------------
@@ -520,3 +524,103 @@ def test_relocation_cycle_freedom_random_instances():
                 continue
             tree = out.tree
             assert validate(tree, net.alive_ids()) is None
+
+
+# -- one-pass maps against the edge-by-edge reference -------------------------------
+
+def as_lists(ref: DictRoutingTree, n: int):
+    """The reference map's parent and child lists, shaped like ``RoutingTree``'s."""
+    return [ref.parent_of(i) for i in range(n + 1)], [ref.children_of(i) for i in range(n + 1)]
+
+
+def assert_same_map(tree, ref, alive_ids, whole):
+    """Equal lists, and the same verdict from the invariant check; a map with
+    no floating subtree (``whole``) must pass it."""
+    assert (tree.parent, tree.children) == as_lists(ref, tree.n)
+    verdict = validate(tree, alive_ids)
+    assert verdict == ref.validate(alive_ids)
+    if whole:
+        assert verdict is None
+
+
+def reference_prune(ref: DictRoutingTree, alive) -> None:
+    """``pruned`` as edge moves. Every detached node first hangs under an
+    anchor node past the last id; then each dead node, ascending, hands its
+    children to its parent; cutting the anchor last leaves floating what
+    had no kept ancestor."""
+    anchor = len(alive)
+    ref.attach(anchor, BS_ID)
+    ref.attach_all([(i, anchor) for i in range(1, anchor) if ref.parent_of(i) is None])
+    for d in range(1, anchor):
+        if not alive[d]:
+            up = ref.parent_of(d)
+            ref.attach_all([(o, up) for o in ref.detach_subtree_root(d)])
+    ref.detach_subtree_root(anchor)
+
+
+def reference_relocate(ref: DictRoutingTree, net, former, hosts, heirs) -> None:
+    """The relocation order that keeps every step a legal edge: detach the
+    first level, raise the heirs, re-home the other children, then the former
+    first-level nodes."""
+    orphans = [ref.detach_subtree_root(f) for f in former]
+    ref.attach_all([(heir, BS_ID) for f in former for heir in heirs.get(f, ())])
+    for f, kids in zip(former, orphans):
+        own = heirs.get(f, [])
+        movers = [c for c in kids if c not in own]
+        ref.attach_all([(c, t) for c, (t, _) in zip(movers, net.nearest(own, movers))])
+    ref.attach_all([(f, h) for f, (h, _) in zip(former, net.nearest(sorted(hosts), former))])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_one_pass_maps_equal_edge_by_edge_replay(data):
+    """``pruned``, ``relocate`` and ``leach_setup`` write parent lists and
+    derive child lists in one pass; the same edges sent one by one through
+    the checked dict-backed map give the same lists."""
+    n = data.draw(st.integers(min_value=2, max_value=30), label="n")
+    coord = st.integers(min_value=0, max_value=20)  # a small grid, so nearest-id ties occur
+    net = make_net(data.draw(st.lists(st.tuples(coord, coord), min_size=n, max_size=n)))
+
+    # a random map, built and cut identically on both sides
+    tree, ref = RoutingTree(n), DictRoutingTree()
+    placed = [BS_ID]
+    for node in data.draw(st.permutations(range(1, n + 1))):
+        edge = [(node, data.draw(st.sampled_from(placed)))]
+        tree.attach_all(edge)
+        ref.attach_all(edge)
+        placed.append(node)
+    cuts = data.draw(st.lists(st.integers(min_value=1, max_value=n), max_size=3, unique=True))
+    for node in cuts:  # orphans float with their subtrees
+        if tree.parent[node] is not None and tree.parent[node] != BS_ID:
+            assert tree.detach_subtree_root(node) == ref.detach_subtree_root(node)
+    whole = all(tree.parent[i] is not None for i in range(1, n + 1))
+
+    alive = [False, *data.draw(st.lists(st.booleans(), min_size=n, max_size=n))]
+    alive_ids = [i for i in range(1, n + 1) if alive[i]]
+    tree = tree.pruned(alive)
+    reference_prune(ref, alive)
+    assert_same_map(tree, ref, alive_ids, whole)
+
+    former = tree.first_level()
+    spots = [i for i in alive_ids if tree.parent[i] not in (None, BS_ID)]
+    if former and spots:
+        hosts = data.draw(st.lists(st.sampled_from(spots), min_size=1, unique=True))
+        heirs = {f: data.draw(st.lists(st.sampled_from(tree.children[f]), min_size=1, unique=True)
+                              .map(sorted))
+                 for f in former if tree.children[f]}
+        relocate(net, tree, former, hosts, heirs)
+        reference_relocate(ref, net, former, hosts, heirs)
+        assert_same_map(tree, ref, alive_ids, whole)
+
+    if alive_ids:
+        for i in range(1, n + 1):
+            if not alive[i]:
+                net.energy[i] = 0.0
+                net.mark_dead(i)
+        p_ch = data.draw(st.sampled_from([0.1, 0.5, 1.0]))
+        out = leach_setup(net, ProtocolParams(p_ch=p_ch), 1, RandomStream(data.draw(st.integers(0, 99))))
+        ref = DictRoutingTree()
+        msgs = checked(out.messages)
+        ref.attach_all([(m.sender, BS_ID) for m in msgs if m.kind == "ch_announce"])
+        ref.attach_all([(m.sender, m.receiver) for m in msgs if m.kind == "join_request"])
+        assert_same_map(out.tree, ref, alive_ids, True)
