@@ -108,6 +108,15 @@ def finite_xy(points) -> bool:
     return set(map(len, points)) <= {2} and all(map(math.isfinite, chain.from_iterable(points)))
 
 
+def check_span(points, what: str) -> None:
+    """Reject finite ``(x, y)`` points spread too wide for squared distances:
+    the searches' bounds need finite distances and every price eps*d*d a
+    finite d*d."""
+    span = max(chain.from_iterable(points)) - min(chain.from_iterable(points))
+    if math.isinf(2.0 * span * span):
+        raise ValueError(f"{what} span {span}: squared distances would overflow")
+
+
 @dataclass(frozen=True)
 class NetworkStats:
     d_bar: float      # mean distance over unordered sensor pairs
@@ -178,10 +187,7 @@ class Network:
             raise ValueError("initial energies must be finite and >= 0")
         self.n = n = len(positions)
         if table is None or table[0] != xy:
-            span = max(chain.from_iterable(xy)) - min(chain.from_iterable(xy))
-            # the searches' bounds need finite distances and every price eps*d*d a finite d*d
-            if math.isinf(2.0 * span * span):
-                raise ValueError(f"sensor coordinates span {span}: squared distances would overflow")
+            check_span(xy, "sensor coordinates")
             table = (xy, [list(map(math.dist, repeat(p), xy)) if n <= _TABLE_MAX
                           else _Row(p, xy) for p in xy])
         self.table, self._dist = table, table[1]

@@ -179,7 +179,7 @@ def leach_setup(net: Network, params: ProtocolParams, round_no: int,
     for m, (target, _) in zip(members, joins):
         parent[m] = target
     messages += [(JOIN_REQUEST, m, d, 1, target) for m, (target, d) in zip(members, joins)]
-    return SetupOutcome(RoutingTree.from_parents(parent), messages)
+    return SetupOutcome(RoutingTree(parent), messages)
 
 
 def elect_host_nodes(net: Network, tree: RoutingTree, params: ProtocolParams,

@@ -11,9 +11,10 @@ orphans re-homed to the first alive ancestor.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
-from .core import BS_ID, Network, RandomStream, finite_xy
+from .core import BS_ID, Network, RandomStream, check_span, finite_xy
 from .energy import EnergyParams, EnergyTally, apply_messages
 from .protocols import (
     ProtocolParams,
@@ -75,6 +76,8 @@ class SimConfig:
         for name in ("area_w", "area_h"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive: {getattr(self, name)}")
+        # sensors are placed inside the field, so its corners and the BS bound their spread
+        check_span([(0.0, 0.0), (self.area_w, self.area_h), bs], "area_w, area_h and bs_pos")
         if self.initial_energy < 0:
             raise ValueError(f"initial_energy must be >= 0: {self.initial_energy}")
         if self.protocol not in PROTOCOLS:
@@ -83,6 +86,8 @@ class SimConfig:
             raise ValueError(f"traffic_fraction out of [0,1]: {self.traffic_fraction}")
         if self.packets_per_sender < 0:
             raise ValueError(f"packets_per_sender must be >= 0: {self.packets_per_sender}")
+        if self.packets_per_sender > sys.float_info.max:  # each hop prices eps * d * d * packets
+            raise ValueError(f"packets_per_sender must be at most {sys.float_info.max:.6g}")
         if self.max_rounds < 1:
             raise ValueError(f"max_rounds must be >= 1: {self.max_rounds}")
 

@@ -76,12 +76,14 @@ def _floats(lo=None, hi=None, exclude_lo=False):
     return st.floats(lo, hi, exclude_min=exclude_lo, allow_nan=False, allow_infinity=False)
 
 
+WIDE = 1e150  # the field's corners and the BS within it keep every squared distance finite
+
 VALID_CONFIGS = st.builds(
     SimConfig,
     n=st.integers(1, 10_000),
-    area_w=_floats(0.0, exclude_lo=True),
-    area_h=_floats(0.0, exclude_lo=True),
-    bs_pos=st.tuples(_floats(), _floats()),
+    area_w=_floats(0.0, WIDE, exclude_lo=True),
+    area_h=_floats(0.0, WIDE, exclude_lo=True),
+    bs_pos=st.tuples(_floats(-WIDE, WIDE), _floats(-WIDE, WIDE)),
     initial_energy=_floats(0.0),
     params=st.builds(ProtocolParams, p_ch=_floats(0.0, 1.0, exclude_lo=True), p_hn=_floats(0.0, 1.0),
                      p_h=_floats(0.0, 1.0), hn_window=st.none() | st.integers(min_value=0)),
@@ -89,7 +91,7 @@ VALID_CONFIGS = st.builds(
     protocol=st.sampled_from(PROTOCOLS),
     seed=st.integers(-(2**64), 2**64),
     traffic_fraction=_floats(0.0, 1.0),
-    packets_per_sender=st.integers(min_value=0),
+    packets_per_sender=st.integers(0, int(sys.float_info.max)),
     max_rounds=st.integers(min_value=1),
 )
 
@@ -97,6 +99,8 @@ VALID_CONFIGS = st.builds(
 @settings(max_examples=200, deadline=None)
 @given(VALID_CONFIGS)
 @example(SimConfig())
+@example(SimConfig(area_w=WIDE, area_h=WIDE, bs_pos=(-WIDE, WIDE),
+                   packets_per_sender=int(sys.float_info.max)))  # the widest accepted
 def test_config_round_trip(cfg):
     assert parse_config(format_config(cfg)) == cfg
 
@@ -319,6 +323,8 @@ def test_main_non_finite_value_exit_one(tmp_path, capsys, key, raw):
     (["sweep", "--p-hn", "1.5"], "p_hn"),
     (["sweep", "--p-hn", "nan"], "p_hn"),
     (["sweep", "--p-hn", "-0.1"], "p_hn"),
+    (["simulate", "--config", "n = 5\narea_w = 1e308\narea_h = 1e308"], "area_w"),
+    (["simulate", "--config", "packets_per_sender = 1" + "0" * 400], "packets_per_sender"),
 ])
 def test_main_rejection_names_the_key(tmp_path, capsys, args, key):
     if args[1] == "--config":  # the config line goes into a file
@@ -363,6 +369,20 @@ def test_non_finite_values_rejected_in_constructors():
 def test_non_integer_values_rejected_in_constructors(make, field, value):
     with pytest.raises(ValueError, match=f"{field} must be an integer"):
         make(**{field: value})
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"packets_per_sender": 10**400}, "packets_per_sender must be at most"),
+    ({"area_w": 1e308, "area_h": 1e308}, "area_w, area_h and bs_pos span"),
+    # a field that fits on its own, widened by the base station
+    ({"area_w": 6e153, "bs_pos": (-6e153, 50.0)}, "area_w, area_h and bs_pos span"),
+])
+def test_values_too_large_for_a_float_rejected_in_constructors(fields, message):
+    """Each hop prices eps * d * d * packets as floats, so both the packet
+    count and the field's squared spread must fit in one; placements lie
+    between the field's corners, so the field and the BS bound the spread."""
+    with pytest.raises(ValueError, match=message):
+        SimConfig(**fields)
 
 
 @pytest.mark.parametrize("field, kind", [("params", "ProtocolParams"), ("energy", "EnergyParams")])

@@ -8,7 +8,6 @@ from least_sim import (
     ProtocolParams,
     ProtocolStallError,
     RandomStream,
-    RoutingTree,
     SimConfig,
     Simulation,
     elect_heirs,
@@ -26,7 +25,7 @@ from least_sim.protocols import (
 )
 
 from conftest import FIVE_POSITIONS, checked, make_net, to_lines
-from tree_reference import DictRoutingTree, level, parent_map, validate
+from tree_reference import DictRoutingTree, level, parent_map, tree_of, validate
 from trace_oracle import leach_trace, least_round_trace
 
 
@@ -175,11 +174,13 @@ def test_leach_matches_oracle_on_random_fields():
 
 # -- host-node election -------------------------------------------------------
 
+def heir_fixture(net):
+    """Sensor 2 on the first level, with 1, 3, 4 and 5 below it."""
+    return tree_of(net.n, [(2, 0), (1, 2), (3, 2), (4, 2), (5, 2)])
+
+
 def test_hosts_all_at_p1(five_net):
-    tree = RoutingTree(five_net.n)
-    tree.attach(2, 0)
-    for c in (1, 3, 4, 5):
-        tree.attach(c, 2)
+    tree = heir_fixture(five_net)
     hosts, msgs = elect_host_nodes(five_net, tree, ProtocolParams(p_hn=1.0), 2, RandomStream(1))
     msgs = checked(msgs)
     assert hosts == [1, 3, 4, 5]  # every alive non-first-level sensor
@@ -188,19 +189,14 @@ def test_hosts_all_at_p1(five_net):
 
 
 def test_hosts_stall_when_no_candidate(five_net):
-    tree = RoutingTree(five_net.n)
-    for i in range(1, 6):
-        tree.attach(i, 0)  # everyone is first-level
+    tree = tree_of(five_net.n, [(i, 0) for i in range(1, 6)])  # everyone is first-level
     with pytest.raises(ProtocolStallError):
         elect_host_nodes(five_net, tree, ProtocolParams(), 2, RandomStream(1))
 
 
 def test_hosts_single_eligible_forced_by_fallback(five_net):
     # tiny p_hn: the lone eligible node wins by draw or by uniform fallback
-    tree = RoutingTree(five_net.n)
-    tree.attach(2, 0)
-    for c in (1, 3, 4, 5):
-        tree.attach(c, 2)
+    tree = heir_fixture(five_net)
     for c in (1, 3, 4):
         five_net.last_hn[c] = 1  # inside the huge rotation window
     hosts, _ = elect_host_nodes(five_net, tree, ProtocolParams(p_hn=0.001), 2, RandomStream(6))
@@ -208,10 +204,7 @@ def test_hosts_single_eligible_forced_by_fallback(five_net):
 
 
 def test_hosts_respect_rotation_window(five_net):
-    tree = RoutingTree(five_net.n)
-    tree.attach(2, 0)
-    for c in (1, 3, 4, 5):
-        tree.attach(c, 2)
+    tree = heir_fixture(five_net)
     for c in (1, 3, 4):
         five_net.last_hn[c] = 1  # still inside the window at round 2
     hosts, _ = elect_host_nodes(five_net, tree, ProtocolParams(p_hn=1.0), 2, RandomStream(1))
@@ -219,10 +212,7 @@ def test_hosts_respect_rotation_window(five_net):
 
 
 def test_hn_window_override_changes_eligibility(five_net):
-    tree = RoutingTree(five_net.n)
-    tree.attach(2, 0)
-    for c in (1, 3, 4, 5):
-        tree.attach(c, 2)
+    tree = heir_fixture(five_net)
     for c in (1, 3, 4, 5):
         five_net.last_hn[c] = 1
     # default window 5 blocks everyone at round 2; a zero window blocks nobody
@@ -254,14 +244,6 @@ def test_host_duty_equalizes_long_run():
 
 # -- heir election ------------------------------------------------------------
 
-def heir_fixture(net):
-    tree = RoutingTree(net.n)
-    tree.attach(2, 0)
-    for c in (1, 3, 4, 5):
-        tree.attach(c, 2)
-    return tree
-
-
 def test_heirs_exactly_one_at_ph_zero(five_net):
     tree = heir_fixture(five_net)
     heirs, _ = elect_heirs(five_net, tree, [2], ProtocolParams(p_h=0.0), RandomStream(9))
@@ -271,9 +253,7 @@ def test_heirs_exactly_one_at_ph_zero(five_net):
 
 def test_heirs_single_child_forced():
     net = make_net([(10, 10), (20, 20)])
-    tree = RoutingTree(net.n)
-    tree.attach(1, 0)
-    tree.attach(2, 1)
+    tree = tree_of(net.n, [(1, 0), (2, 1)])
     heirs, msgs = elect_heirs(net, tree, [1], ProtocolParams(p_h=0.0), RandomStream(4))
     msgs = checked(msgs)
     assert heirs == {1: [2]}
@@ -291,11 +271,7 @@ def test_heirs_all_children_at_p1(five_net):
 
 
 def test_heirs_childless_first_level_skipped(five_net):
-    tree = RoutingTree(five_net.n)
-    tree.attach(1, 0)
-    tree.attach(2, 0)
-    for c in (3, 4, 5):
-        tree.attach(c, 2)
+    tree = tree_of(five_net.n, [(1, 0), (2, 0), (3, 2), (4, 2), (5, 2)])
     heirs, _ = elect_heirs(five_net, tree, [1, 2], ProtocolParams(p_h=0.0), RandomStream(2))
     assert 1 not in heirs and 2 in heirs
 
@@ -305,10 +281,7 @@ def test_heirs_childless_first_level_skipped(five_net):
 def test_relocate_smallest_instance():
     # first-level v=1 with single child c=2 (forced heir); host h=3 elsewhere
     net = make_net([(40, 50), (45, 50), (70, 50)])
-    tree = RoutingTree(net.n)
-    tree.attach(1, 0)
-    tree.attach(2, 1)
-    tree.attach(3, 1)
+    tree = tree_of(net.n, [(1, 0), (2, 1), (3, 1)])
     # moves are silent: relocation returns no message log to charge
     assert relocate(net, tree, [1], [3], {1: [2]}) is None
     assert tree.parent[2] == 0
@@ -320,10 +293,7 @@ def test_relocate_host_inside_own_cluster():
     """Host h is a child of first-level v, heir is sibling e: the ordering
     e->BS, h->e, v->h must produce a valid three-deep chain."""
     net = make_net([(30, 50), (35, 50), (36, 50)])  # v=1, e=2, h=3
-    tree = RoutingTree(net.n)
-    tree.attach(1, 0)
-    tree.attach(2, 1)
-    tree.attach(3, 1)
+    tree = tree_of(net.n, [(1, 0), (2, 1), (3, 1)])
     relocate(net, tree, [1], [3], {1: [2]})
     assert tree.parent[2] == 0
     assert tree.parent[3] == 2
@@ -335,12 +305,7 @@ def test_relocate_host_inside_own_cluster():
 def test_relocate_shared_nearest_host():
     # two first-level nodes pick the same host independently
     net = make_net([(20, 50), (80, 50), (50, 52), (50, 48), (50, 60)])
-    tree = RoutingTree(net.n)
-    tree.attach(1, 0)
-    tree.attach(2, 0)
-    tree.attach(3, 1)
-    tree.attach(4, 2)
-    tree.attach(5, 1)
+    tree = tree_of(net.n, [(1, 0), (2, 0), (3, 1), (4, 2), (5, 1)])
     relocate(net, tree, [1, 2], [5], {1: [3], 2: [4]})
     assert tree.parent[1] == 5 and tree.parent[2] == 5
     assert validate(tree, [1, 2, 3, 4, 5]) is None
@@ -581,18 +546,18 @@ def test_one_pass_maps_equal_edge_by_edge_replay(data):
     coord = st.integers(min_value=0, max_value=20)  # a small grid, so nearest-id ties occur
     net = make_net(data.draw(st.lists(st.tuples(coord, coord), min_size=n, max_size=n)))
 
-    # a random map, built and cut identically on both sides
-    tree, ref = RoutingTree(n), DictRoutingTree()
-    placed = [BS_ID]
+    # a random map, built and cut edge by edge on the reference, and the
+    # list-backed map over its parent list
+    ref, placed = DictRoutingTree(), [BS_ID]
     for node in data.draw(st.permutations(range(1, n + 1))):
-        edge = [(node, data.draw(st.sampled_from(placed)))]
-        tree.attach_all(edge)
-        ref.attach_all(edge)
+        ref.attach(node, data.draw(st.sampled_from(placed)))
         placed.append(node)
     cuts = data.draw(st.lists(st.integers(min_value=1, max_value=n), max_size=3, unique=True))
     for node in cuts:  # orphans float with their subtrees
-        if tree.parent[node] is not None and tree.parent[node] != BS_ID:
-            assert tree.detach_subtree_root(node) == ref.detach_subtree_root(node)
+        if ref.parent_of(node) not in (None, BS_ID):
+            ref.detach_subtree_root(node)
+    tree = tree_of(n, ref.parent_map().items())
+    assert_same_map(tree, ref, [], False)
     whole = all(tree.parent[i] is not None for i in range(1, n + 1))
 
     alive = [False, *data.draw(st.lists(st.booleans(), min_size=n, max_size=n))]

@@ -14,7 +14,6 @@ from least_sim import (
     Network,
     ProtocolParams,
     RandomStream,
-    RoutingTree,
     SetupOutcome,
     SimConfig,
     Simulation,
@@ -27,7 +26,7 @@ from least_sim.energy import charge
 from least_sim.simulator import METRICS_HEADER, metrics_csv
 
 from conftest import FIVE_POSITIONS, make_net, tx_cost
-from tree_reference import attached, nodes, parent_map, validate
+from tree_reference import attached, nodes, parent_map, path_to_root, tree_of, validate
 from trace_oracle import steady_trace
 
 
@@ -122,7 +121,7 @@ def test_round_charges_match_recorded_paths():
     eps = sim.config.energy.epsilon_amp
     want = 0.0
     for sender in sim.net.alive_ids():
-        path = sim.tree.path_to_root(sender)
+        path = path_to_root(sim.tree, sender)
         want += sum(
             eps * sim.net.dist(path[i], path[i + 1]) ** 2 for i in range(len(path) - 1)
         )
@@ -133,7 +132,8 @@ def test_round_charges_match_recorded_paths():
 
 def reference_steady(sim):
     """The steady phase as a loop of public calls: a shuffle of a copy of the
-    alive ids, then ``path_to_root`` walks, ``tx_cost`` and one ``charge`` per hop."""
+    alive ids, then per sender its path up the parent list
+    (``tree_reference.path_to_root``), ``tx_cost`` and one ``charge`` per hop."""
     cfg, net = sim.config, sim.net
     alive = net.alive_ids()
     if cfg.traffic_fraction >= 1.0:
@@ -153,7 +153,7 @@ def reference_steady(sim):
         attempted += packets
         if net.energy[sender] == 0.0:
             continue
-        path = sim.tree.path_to_root(sender)
+        path = path_to_root(sim.tree, sender)
         for fwd, nxt in zip(path, path[1:]):
             if net.energy[fwd] == 0.0:
                 break
@@ -244,8 +244,7 @@ def chain_sim(energies):
     cfg = SimConfig(n=len(energies), protocol="least", energy=EnergyParams(epsilon_amp=2.0**-30))
     positions = [(50.0, 50.0 - 16.0 * i) for i in range(1, len(energies) + 1)]
     sim = Simulation(cfg, net=make_net(positions, list(energies)))
-    sim.tree = RoutingTree(len(energies))
-    sim.tree.attach_all((i, i - 1) for i in range(1, len(energies) + 1))
+    sim.tree = tree_of(len(energies), [(i, i - 1) for i in range(1, len(energies) + 1)])
     return sim
 
 
@@ -263,7 +262,7 @@ def test_forwarder_dying_at_exactly_zero_still_delivers(monkeypatch):
 
 def test_alive_sender_missing_from_map_raises():
     sim = chain_sim([1.0, 1.0, 1.0])
-    sim.tree.detach_subtree_root(3)
+    sim.tree = tree_of(3, [(1, 0), (2, 1)])  # 3 is left out of the map
     with pytest.raises(ValueError, match="unknown node: 3"):
         sim._steady_phase()
     # senders 1 and 2 were charged and recorded; sensor 3 paid nothing
@@ -274,7 +273,7 @@ def test_alive_sender_missing_from_map_raises():
 
 def test_parent_cycle_raises():
     sim = chain_sim([1.0, 1.0])
-    sim.tree.parent[1] = 2  # 1 -> 2 -> 1; attach refuses to build this
+    sim.tree.parent[1] = 2  # 1 -> 2 -> 1; no setup writes such a list
     with pytest.raises(RuntimeError, match="parent cycle"):
         sim._steady_phase()
     assert sim.setup.total + sim.steady.total == sim.initial_total - sim.net.total_energy()

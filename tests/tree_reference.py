@@ -1,11 +1,12 @@
-"""Test-side view of the routing map, and the dict-based map it replaced.
+"""Test-side view of the routing map, and the edge-by-edge map it is checked against.
 
 ``RoutingTree`` keeps only what the simulator uses: per-id ``parent`` and
-``children`` lists plus the mutators. The queries that only tests ask
-(parent map, level, attached nodes, invariant check) live here as plain
-functions over those lists. ``DictRoutingTree`` is the earlier dict-backed
-implementation, kept verbatim as the reference that the list-backed map is
-checked against.
+``children`` lists, built from a parent list. The queries that only tests
+ask (parent map, path, level, attached nodes, invariant check) live here as
+plain functions over those lists, with ``tree_of``, which builds a
+hand-made map from its edges. ``DictRoutingTree`` is the earlier
+dict-backed map, the one that links edge by edge with every check; tests
+replay the setups' edges through it and compare the lists.
 """
 
 from __future__ import annotations
@@ -13,7 +14,18 @@ from __future__ import annotations
 from bisect import insort
 from dataclasses import dataclass
 
+from least_sim import RoutingTree
+
 BS_ID = 0
+
+
+def tree_of(n: int, edges) -> RoutingTree:
+    """The map over ids 0..n with each ``(child, parent)`` edge, unchecked;
+    a node no edge names stays detached, and a subtree under it floats."""
+    parent = [None] * (n + 1)
+    for child, p in edges:
+        parent[child] = p
+    return RoutingTree(parent)
 
 
 def parent_map(tree) -> dict[int, int]:
@@ -31,9 +43,25 @@ def nodes(tree) -> list[int]:
     return sorted(parent_map(tree))
 
 
+def path_to_root(tree, node: int) -> list[int]:
+    """Node ids from ``node`` up to and including the base station, read
+    off the parent list as the steady phase walks it."""
+    parent, path = tree.parent, [node]
+    if not 0 <= node <= tree.n:
+        raise ValueError(f"node id {node} is outside 0..{tree.n}")
+    while path[-1] != BS_ID:
+        nxt = parent[path[-1]]
+        if nxt is None:
+            raise ValueError(f"node {node} is not attached to the base station")
+        path.append(nxt)
+        if len(path) > len(parent):
+            raise RuntimeError(f"parent cycle reached from node {node}")
+    return path
+
+
 def level(tree, node: int) -> int:
     """Depth of ``node``; the base station is level 0."""
-    return len(tree.path_to_root(node)) - 1
+    return len(path_to_root(tree, node)) - 1
 
 
 def validate(tree, alive_ids) -> Violation | None:
@@ -59,14 +87,21 @@ class DictRoutingTree:
     Children are kept in ascending id order so iteration is deterministic.
     A node is *attached* when it has a parent entry (the BS always counts as
     attached); detached nodes may still own a floating subtree, which rides
-    along when they are re-attached.
+    along when they are re-attached. Given ``n``, every id outside 0..n is
+    rejected too.
     """
 
-    __slots__ = ("_parent", "_children")
+    __slots__ = ("_parent", "_children", "n")
 
-    def __init__(self):
+    def __init__(self, n: int | None = None):
+        self.n = n
         self._parent: dict[int, int] = {}
         self._children: dict[int, list[int]] = {BS_ID: []}
+
+    def _check_id(self, *ids) -> None:
+        for node in ids:
+            if self.n is not None and not 0 <= node <= self.n:
+                raise ValueError(f"node id {node} is outside 0..{self.n}")
 
     def __contains__(self, node: int) -> bool:
         return node == BS_ID or node in self._parent
@@ -90,6 +125,7 @@ class DictRoutingTree:
         ``attach``; an error leaves the edges before it in place."""
         parents, children = self._parent, self._children
         for child, parent in edges:
+            self._check_id(child, parent)
             if child == parent:
                 raise ValueError(f"node {child} cannot be its own parent")
             if child == BS_ID:
@@ -123,6 +159,7 @@ class DictRoutingTree:
         The orphans keep their own subtrees; only the edges touching ``node``
         are cut.
         """
+        self._check_id(node)
         if node == BS_ID:
             raise ValueError("the base station cannot be detached")
         if node not in self._parent:
@@ -141,6 +178,7 @@ class DictRoutingTree:
 
     def path_to_root(self, node: int) -> list[int]:
         """Node ids from ``node`` up to and including the base station."""
+        self._check_id(node)
         if node not in self:
             raise ValueError(f"unknown node: {node}")
         path = [node]
