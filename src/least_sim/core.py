@@ -92,6 +92,13 @@ class RandomStream:
         return lo + (hi - lo) * self.random()
 
 
+def bernoulli_bound(p: float) -> int:
+    """The raw-draw bound of probability ``p``: for every ``next_u64`` value
+    ``v``, ``v < bernoulli_bound(p)`` exactly when ``random``'s float
+    ``(v >> 11) * 2.0**-53`` is below ``p`` (README, "Determinism")."""
+    return math.ceil(p * 2.0**53) << 11
+
+
 def uniform_choice(stream: RandomStream, items):
     """Pick one item uniformly; consumes exactly one draw.
 

@@ -90,6 +90,7 @@ def apply_messages(net: Network, messages, params: EnergyParams,
     every alive sensor within tx_distance.
     """
     eps, rx_cost, inf = params.epsilon_amp, params.rx_cost, math.inf
+    pay_rx = rx_cost > 0.0
     energy, mark_dead, n = net.energy, net.mark_dead, net.n
     spent = []  # in charge order; tallied even if a later record is rejected
     pay = spent.append
@@ -112,7 +113,7 @@ def apply_messages(net: Network, messages, params: EnergyParams,
                     energy[sender] = 0.0
                     mark_dead(sender)
                     pay(left)
-            if rx_cost > 0.0 and packets > 0:
+            if pay_rx and packets > 0:
                 rx = rx_cost * packets
                 if receiver is not None:
                     if receiver != BS_ID and energy[_sensor_id(net, receiver)] > 0:

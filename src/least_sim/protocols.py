@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .core import BS_ID, Network, RandomStream, uniform_choice
+from .core import BS_ID, Network, RandomStream, bernoulli_bound, uniform_choice
 from .tree import RoutingTree
 
 CH_ANNOUNCE = "ch_announce"
@@ -141,9 +141,9 @@ def _run_election(stream: RandomStream, eligible: list[int], threshold: float,
                   fallback_pool: list[int]) -> list[int]:
     """One self-election: Bernoulli per eligible id (ascending), repeated on
     zero winners, then a uniform fallback so setup can never loop forever."""
-    draw = stream.next_u64  # one draw per eligible candidate, as RandomStream.random
+    draw, bound = stream.next_u64, bernoulli_bound(threshold)  # one draw per eligible candidate
     for _ in range(_MAX_ELECTION_ATTEMPTS if eligible else 0):  # no candidate, no draw
-        winners = [i for i in eligible if (draw() >> 11) * 2.0**-53 < threshold]
+        winners = [i for i in eligible if draw() < bound]
         if winners:
             return winners
     return [uniform_choice(stream, fallback_pool)]
@@ -175,10 +175,9 @@ def leach_setup(net: Network, params: ProtocolParams, round_no: int,
     far = net.farthest_alive_distance
     messages = [(CH_ANNOUNCE, h, far(h), 1, None) for h in heads]
     members = [m for m in alive if parent[m] is None]
-    joins = net.nearest(heads, members)
-    for m, (target, _) in zip(members, joins):
+    for m, (target, d) in zip(members, net.nearest(heads, members)):
         parent[m] = target
-    messages += [(JOIN_REQUEST, m, d, 1, target) for m, (target, d) in zip(members, joins)]
+        messages.append((JOIN_REQUEST, m, d, 1, target))
     return SetupOutcome(RoutingTree(parent), messages)
 
 
@@ -201,10 +200,10 @@ def elect_host_nodes(net: Network, tree: RoutingTree, params: ProtocolParams,
         )
     threshold = election_threshold(params.p_hn, round_no, window)
     hosts = _run_election(stream, eligible, threshold, eligible)  # ascending
-    messages = []
     for h in hosts:
         last_hn[h] = round_no
-        messages.append((HN_ANNOUNCE_TO_BS, h, net.dist(h, BS_ID), 1, BS_ID))
+    rows = net.table[1]  # the distance rows, read as net.dist reads them
+    messages = [(HN_ANNOUNCE_TO_BS, h, rows[h][BS_ID], 1, BS_ID) for h in hosts]
     notice = net.farthest(BS_ID, tree.children[BS_ID])
     messages.append((BS_NOTIFY_FIRST_LEVEL, BS_ID, notice, 1, None))
     return hosts, messages
@@ -222,23 +221,22 @@ def elect_heirs(net: Network, tree: RoutingTree, first_level, params: ProtocolPa
     """
     heirs: dict[int, list[int]] = {}
     messages = []
-    draw = stream.next_u64  # one draw per child, ascending, as RandomStream.random
-    p_h = params.p_h
-    dist, farthest, children = net.dist, net.farthest, tree.children
+    draw, bound = stream.next_u64, bernoulli_bound(params.p_h)  # one draw per child, ascending
+    rows, farthest, children = net.table[1], net.farthest, tree.children
     for parent in sorted(first_level):
         kids = children[parent]
         if not kids:
             continue
-        chosen = [c for c in kids if (draw() >> 11) * 2.0**-53 < p_h]
+        chosen = [c for c in kids if draw() < bound]
         if not chosen:
             chosen = [uniform_choice(stream, kids)]
         heirs[parent] = chosen
-        to_bs = dist(parent, BS_ID)
+        to_bs = rows[parent][BS_ID]
         sibling_packets = 1 if len(kids) > 1 else 0
         for heir in chosen:
             # an heir is 0 from itself, so its farthest kid is its farthest sibling
             messages += (
-                (HEIR_NOTIFY_PARENT, heir, dist(heir, parent), 1, parent),
+                (HEIR_NOTIFY_PARENT, heir, rows[heir][parent], 1, parent),
                 (HEIR_RELAY_TO_BS, parent, to_bs, 1, BS_ID),
                 (HEIR_ANNOUNCE_SIBLINGS, heir, farthest(heir, kids), sibling_packets, None),
             )
@@ -265,18 +263,22 @@ def relocate(net: Network, tree: RoutingTree, first_level, host_nodes, heirs) ->
     if not host_nodes:
         raise ValueError("relocation needs at least one host node")
     hosts = sorted(host_nodes)
-    overlap = set(hosts) & set(former)
-    if overlap:
-        raise ValueError(f"host nodes may not be first-level nodes: {sorted(overlap)}")
+    if not set(hosts).isdisjoint(former):
+        raise ValueError("host nodes may not be first-level nodes: "
+                         f"{sorted(set(hosts) & set(former))}")
 
     parent, children = tree.parent, tree.children
     for f in former:
         own_heirs = heirs.get(f, [])
-        for heir in own_heirs:
+        if len(own_heirs) == 1:  # the lone heir is every mover's nearest: no search
+            for c in children[f]:
+                parent[c] = own_heirs[0]
+        else:
+            movers = [c for c in children[f] if c not in own_heirs]
+            for c, (target, _) in zip(movers, net.nearest(own_heirs, movers)):
+                parent[c] = target
+        for heir in own_heirs:  # last: the one-heir loop pointed the heir at itself
             parent[heir] = BS_ID
-        movers = [c for c in children[f] if c not in own_heirs]
-        for c, (target, _) in zip(movers, net.nearest(own_heirs, movers)):
-            parent[c] = target
     for f, (host, _) in zip(former, net.nearest(hosts, former)):
         parent[f] = host
     tree.derive_children()

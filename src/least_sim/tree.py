@@ -51,7 +51,10 @@ class RoutingTree:
         """Deepest level present in the tree."""
         children = self.children
         depth, level = 0, children[BS_ID]
-        while level:  # one list per level; floating subtrees are never reached
+        while level:  # floating subtrees are never reached
             depth += 1
-            level = [c for p in level for c in children[p]]
+            below = []  # fresh: extending a list the map owns would change the map
+            for p in level:
+                below += children[p]
+            level = below
         return depth

@@ -19,7 +19,7 @@ from least_sim import (
     place_nodes,
 )
 from least_sim import core
-from least_sim.core import uniform_choice
+from least_sim.core import bernoulli_bound, uniform_choice
 from least_sim.energy import DeadNodeError, charge
 from conftest import make_net
 
@@ -106,6 +106,41 @@ def test_bernoulli_rejects_bad_probability():
         bernoulli(s, 1.5)
     with pytest.raises(ValueError):
         bernoulli(s, -0.1)
+
+
+def raw_float(v):
+    """``RandomStream.random``'s float for the raw draw ``v``."""
+    return (v >> 11) * 2.0**-53
+
+
+def edge_probabilities():
+    """0, 1, the least subnormal, multiples of 2**-53 near the ends and the
+    protocols' defaults, and the float on each side of each."""
+    ks = [0, 1, 2, 3, 2047, 2048, 2049, 2**52 - 1, 2**52, 2**52 + 1, 2**53 - 2, 2**53 - 1, 2**53]
+    grid = [k * 2.0**-53 for k in ks] + [5e-324, 0.1, 0.2, 0.25, 1 / 3, 0.5, 0.9]
+    near = [math.nextafter(p, side) for p in grid for side in (-math.inf, math.inf)]
+    return sorted({p for p in grid + near if 0.0 <= p <= 1.0})
+
+
+def edge_draws(bound):
+    """Raw draws at, just below and a float step below the bound, and the
+    ends of the 64-bit range."""
+    return [v for v in (0, bound - 2048, bound - 1, bound, 2**64 - 1) if 0 <= v < 2**64]
+
+
+def test_bernoulli_bound_equals_the_float_comparison_at_the_edges():
+    for p in edge_probabilities():
+        for v in edge_draws(bernoulli_bound(p)):
+            assert (v < bernoulli_bound(p)) == (raw_float(v) < p), (p, v)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.sampled_from(edge_probabilities()), st.floats(0.0, 1.0)), st.data())
+def test_bernoulli_bound_equals_the_float_comparison(p, data):
+    bound = bernoulli_bound(p)
+    v = data.draw(st.one_of(st.sampled_from(edge_draws(bound)),
+                            st.integers(min_value=0, max_value=2**64 - 1)), label="v")
+    assert (v < bound) == (raw_float(v) < p)
 
 
 def test_uniform_choice_single_and_empty():

@@ -1,6 +1,8 @@
 """Election, heir, and relocation contracts, checked against an independent
 draw-by-draw interpreter plus frozen golden traces."""
 
+import copy
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -26,7 +28,7 @@ from least_sim.protocols import (
 
 from conftest import FIVE_POSITIONS, checked, make_net, to_lines
 from tree_reference import DictRoutingTree, level, parent_map, tree_of, validate
-from trace_oracle import leach_trace, least_round_trace
+from trace_oracle import election, leach_trace, least_round_trace
 
 
 def msg_tuples(messages):
@@ -67,6 +69,68 @@ def test_empty_election_makes_one_draw_the_uniform_pick():
         want = uniform_choice(one, pool)
         assert _run_election(stream, [], 0.5, pool) == [want]
         assert stream._state == one._state  # exactly one draw
+
+
+class ScriptedStream:
+    """Hands out chosen raw values, in order, one per ``next_u64`` call."""
+
+    def __init__(self, values):
+        self.values, self.calls = values, 0
+
+    def next_u64(self):
+        self.calls += 1
+        return self.values[self.calls - 1]
+
+    def random(self):
+        return (self.next_u64() >> 11) * 2.0**-53
+
+
+def threshold_draws(threshold):
+    """Raw draws around a threshold, found by float comparisons alone: the
+    smallest draw whose float is not below it (a loss), the one below it
+    (a win), and their neighbours a float step away."""
+    k = int(threshold * 2**53)
+    while k * 2.0**-53 < threshold:
+        k += 1
+    while k > 0 and (k - 1) * 2.0**-53 >= threshold:
+        k -= 1
+    loss = k << 11
+    return [v for v in (loss - 2048, loss - 1, loss, loss + 1, loss + 2047, loss + 2048)
+            if 0 <= v < 2**64]
+
+
+CALL_SITE_THRESHOLDS = [5e-324, 0.1, 0.25, election_threshold(0.2, 7, 5),
+                        1.0 - 2**-53, 1.0]
+
+
+@pytest.mark.parametrize("threshold", CALL_SITE_THRESHOLDS)
+def test_election_picks_what_the_oracle_picks_at_the_bound(threshold):
+    """Raw draws at, below and above the threshold's bound win exactly when
+    the interpreter's floats do, in every position of the draw order."""
+    eligible = [2, 3, 5, 7, 8, 11, 13]
+    edges = threshold_draws(threshold)
+    for shift in range(len(edges)):
+        values = [edges[(i + shift) % len(edges)] for i in range(100 * len(eligible) + 1)]
+        got, want = ScriptedStream(values), ScriptedStream(values)
+        assert _run_election(got, eligible, threshold, eligible) == election(
+            want, eligible, threshold, eligible)
+        assert got.calls == want.calls
+
+
+@pytest.mark.parametrize("p_h", CALL_SITE_THRESHOLDS)
+def test_heirs_pick_what_the_oracle_picks_at_the_bound(p_h):
+    """Each child group spans a whole cycle of the scripted draws, so it has
+    a winner and the interpreter's election draws once per child too."""
+    net = make_net([(6.0 * i, 30.0 + i) for i in range(1, 16)])
+    groups = {1: list(range(3, 9)), 2: list(range(9, 16))}
+    tree = tree_of(net.n, [(1, 0), (2, 0), *[(c, f) for f, kids in groups.items() for c in kids]])
+    edges = threshold_draws(p_h)
+    for shift in range(len(edges)):
+        values = [edges[(i + shift) % len(edges)] for i in range(13)]
+        got, want = ScriptedStream(values), ScriptedStream(values)
+        heirs, _ = elect_heirs(net, tree, [2, 1], ProtocolParams(p_h=p_h), got)
+        assert heirs == {f: election(want, kids, p_h, kids) for f, kids in groups.items()}
+        assert got.calls == want.calls == 13
 
 
 def test_window_override():
@@ -315,6 +379,17 @@ def test_relocate_rejects_host_overlap(five_net):
     tree = heir_fixture(five_net)
     with pytest.raises(ValueError):
         relocate(five_net, tree, [2], [2], {2: [1]})
+
+
+def test_relocate_leaves_the_heir_lists_unchanged():
+    # former 1 has one heir (no search), former 2 has two (nearest)
+    net = make_net([(30, 50), (70, 50), (25, 40), (35, 40), (30, 30), (65, 40), (75, 40), (73, 30)])
+    tree = tree_of(net.n, [(1, 0), (2, 0), (3, 1), (4, 1), (5, 1), (6, 2), (7, 2), (8, 2)])
+    heirs = {1: [4], 2: [6, 7]}
+    given = copy.deepcopy(heirs)
+    relocate(net, tree, [1, 2], [5, 8], heirs)
+    assert heirs == given
+    assert parent_map(tree) == {1: 5, 2: 8, 3: 4, 4: 0, 5: 4, 6: 0, 7: 0, 8: 7}
 
 
 # -- composed tree setup ---------------------------------------------------------

@@ -1,6 +1,8 @@
 """Routing-map structure and queries, and the rules of the edge-by-edge
 reference map that the setups' lists are checked against."""
 
+import copy
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -126,6 +128,13 @@ def test_max_depth_ignores_floating_subtree():
     assert tree_of(N, cut).max_depth() == 1
     assert tree_of(N, [*cut, (2, 5)]).max_depth() == 2
     assert tree_of(N, [*cut, (2, 5), (3, 1)]).max_depth() == 3  # the floating pair rides along
+
+
+def test_max_depth_leaves_every_child_list_unchanged():
+    t = tree_of(N, [(1, 0), (2, 0), (3, 1), (4, 1), (5, 3), (7, 6), (8, 7)])  # 7, 8 float
+    before = copy.deepcopy(t.children)
+    assert t.max_depth() == 3
+    assert t.children == before
 
 
 def test_validate_ok_and_coverage():
