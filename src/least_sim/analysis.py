@@ -8,17 +8,8 @@ magnitude, not exact values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .core import NetworkStats
 from .protocols import ProtocolParams
-
-
-@dataclass(frozen=True)
-class PowerEstimate:
-    least_estimate: float
-    leach_estimate: float
-    difference: float  # leach_estimate - least_estimate, exact
 
 
 def estimate_least(n: int, params: ProtocolParams, stats: NetworkStats,
@@ -39,11 +30,3 @@ def estimate_leach(n: int, params: ProtocolParams, stats: NetworkStats,
         params.p_ch * stats.d_bar_max**2 + (1.0 - params.p_ch) * stats.d_bar**2
     )
 
-
-def compare_estimates(n: int, params: ProtocolParams, stats: NetworkStats,
-                      epsilon: float) -> PowerEstimate:
-    """Both estimates plus their difference (positive means the baseline
-    costs more)."""
-    least = estimate_least(n, params, stats, epsilon)
-    leach = estimate_leach(n, params, stats, epsilon)
-    return PowerEstimate(least, leach, leach - least)

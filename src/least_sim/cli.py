@@ -21,7 +21,7 @@ from pathlib import Path
 from statistics import median
 
 from . import __version__
-from .analysis import compare_estimates
+from .analysis import estimate_leach, estimate_least
 from .core import NetworkStats, RandomStream, network_stats
 from .energy import EnergyParams
 from .protocols import ProtocolParams
@@ -337,8 +337,10 @@ def cmd_analyze(config: SimConfig, seeds) -> str:
         d_bar += stats.d_bar
         d_bar_max += stats.d_bar_max
     stats = NetworkStats(d_bar / len(seeds), d_bar_max / len(seeds))
-    est = compare_estimates(config.n, config.params, stats, config.energy.epsilon_amp)
-    cells = (est.least_estimate, est.leach_estimate, est.difference)
+    eps = config.energy.epsilon_amp
+    least = estimate_least(config.n, config.params, stats, eps)
+    leach = estimate_leach(config.n, config.params, stats, eps)
+    cells = (least, leach, leach - least)
     return f"{ANALYZE_HEADER}\n{','.join(map(fmt_float, cells))}\n"
 
 

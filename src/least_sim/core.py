@@ -197,7 +197,7 @@ class Network:
             check_span(xy, "sensor coordinates")
             table = (xy, [list(map(math.dist, repeat(p), xy)) if n <= _TABLE_MAX
                           else _Row(p, xy) for p in xy])
-        self.table, self._dist = table, table[1]
+        self.table = table
         self.energy = [0.0, *energies]
         self.last_ch: list = [None] * (n + 1)
         self.last_hn: list = [None] * (n + 1)
@@ -219,7 +219,7 @@ class Network:
 
     def dist(self, a: int, b: int) -> float:
         """Distance between node ids; id 0 is the base station."""
-        return self._dist[a][b]
+        return self.table[1][a][b]
 
     def nearest(self, candidates: list[int], sources: list[int]) -> list[tuple[int, float]]:
         """The nearest candidate to each source, as ``(id, distance)`` pairs.
@@ -231,11 +231,11 @@ class Network:
             return []
         if not candidates:
             raise ValueError("empty candidate set")
-        out = []
+        out, (xy, rows) = [], self.table
         if len(candidates) <= _SCAN_MAX:
             first, rest = candidates[0], candidates[1:]
             for src in sources:
-                row = self._dist[src]
+                row = rows[src]
                 target, best = first, row[first]
                 for cand in rest:
                     d = row[cand]
@@ -243,11 +243,10 @@ class Network:
                         target, best = cand, d
                 out.append((target, best))
             return out
-        xy = self.table[0]
         order = [0, *sorted(candidates, key=xy.__getitem__), 0]
         xs = [-math.inf, *[xy[c][0] for c in order[1:-1]], math.inf]  # ends no walk passes
         for src in sources:
-            row, x = self._dist[src], xy[src][0]
+            row, x = rows[src], xy[src][0]
             hi = bisect(xs, x)
             lo, gap_lo, gap_hi = hi - 1, x - xs[hi - 1], xs[hi] - x
             target, best, reach = 0, math.inf, math.inf
@@ -271,7 +270,7 @@ class Network:
 
     def farthest(self, src: int, ids) -> float:
         """Largest distance from ``src`` to any of ``ids`` (``src`` itself is at 0); 0 if none."""
-        row = self._dist[src]
+        row = self.table[1][src]
         best = 0.0
         for i in ids:
             d = row[i]
@@ -286,7 +285,7 @@ class Network:
         stays the farthest while it lives, and the float is the same. A rescan
         scans the alive sensors in a network with a table, and otherwise walks
         them by x from both ends inward (README, "Determinism")."""
-        row, far = self._dist[from_id], self._farthest[from_id]
+        row, far = self.table[1][from_id], self._farthest[from_id]
         if far is not None and self.energy[far] > 0:
             return row[far]
         best, far = 0.0, None

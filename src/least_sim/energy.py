@@ -9,10 +9,6 @@ from .core import BS_ID, Network
 from .protocols import MESSAGE_KINDS, check_message
 
 
-class DeadNodeError(RuntimeError):
-    """Charging a dead node is a protocol bug, not a recoverable condition."""
-
-
 @dataclass(frozen=True)
 class EnergyParams:
     """Radio cost model: amplifier constant plus an optional reception cost.
@@ -52,46 +48,23 @@ class EnergyTally:
         self.round, self.total = part, whole
 
 
-def _sensor_id(net: Network, node_id: int) -> int:
-    """``node_id`` if it names a sensor (1..n); a bare list index would wrap -1."""
-    if not 0 < node_id <= net.n:
-        raise KeyError(f"unknown sensor id: {node_id}")
-    return node_id
-
-
-def charge(net: Network, node_id: int, amount: float) -> float:
-    """Deduct up to ``amount`` from a sensor, killing it at zero.
-
-    Returns what was actually spent (clamped at the remaining energy); a
-    return value below ``amount`` means the sensor died mid-transmission.
-    """
-    left = net.energy[_sensor_id(net, node_id)]
-    if not left > 0:
-        raise DeadNodeError(f"node {node_id} is dead")
-    if amount < 0:
-        raise ValueError(f"negative charge: {amount}")
-    spent = amount if amount <= left else left
-    net.energy[node_id] = left = left - spent
-    if left == 0.0:
-        net.mark_dead(node_id)
-    return spent
-
-
 def apply_messages(net: Network, messages, params: EnergyParams,
                    tally: EnergyTally | None = None) -> None:
     """Charge a message log: senders pay epsilon * d^2 * packets.
 
     Each ``(kind, sender, tx_distance, packets, receiver)`` record must pass
-    ``check_message``; senders are charged inline exactly as
-    ``charge`` would, in log order. Base-station sends are free (it is mains
-    powered). A message whose sender already died earlier in the log is
-    skipped: it was never transmitted. When reception pricing is on, the
-    addressee pays rx_cost per packet, and broadcasts (receiver None) charge
-    every alive sensor within tx_distance.
+    ``check_message`` and name sensors 1..n or the base station (0), or None
+    as a broadcast's receiver. Payers are charged inline, in log order, and
+    clamped: a node keeps ``energy - amount`` while the amount is smaller,
+    and otherwise spends what it had left and dies. Base-station sends are
+    free (it is mains powered). A message whose sender already died earlier
+    in the log is skipped: it was never transmitted. When reception pricing
+    is on, the addressee pays rx_cost per packet, and a broadcast (receiver
+    None) charges every other alive sensor within tx_distance.
     """
     eps, rx_cost, inf = params.epsilon_amp, params.rx_cost, math.inf
     pay_rx = rx_cost > 0.0
-    energy, mark_dead, n = net.energy, net.mark_dead, net.n
+    energy, mark_dead, n, rows = net.energy, net.mark_dead, net.n, net.table[1]
     spent = []  # in charge order; tallied even if a later record is rejected
     pay = spent.append
     try:
@@ -99,6 +72,8 @@ def apply_messages(net: Network, messages, params: EnergyParams,
             if (kind not in MESSAGE_KINDS or not 0.0 <= d < inf
                     or type(packets) is not int or packets < 0):
                 check_message(kind, d, packets)  # raises, naming what is wrong
+            if receiver is not None and not 0 <= receiver <= n:
+                raise KeyError(f"unknown sensor id: {receiver}")
             if sender != BS_ID:
                 if not 0 < sender <= n:
                     raise KeyError(f"unknown sensor id: {sender}")
@@ -114,15 +89,21 @@ def apply_messages(net: Network, messages, params: EnergyParams,
                     mark_dead(sender)
                     pay(left)
             if pay_rx and packets > 0:
-                rx = rx_cost * packets
-                if receiver is not None:
-                    if receiver != BS_ID and energy[_sensor_id(net, receiver)] > 0:
-                        pay(charge(net, receiver, rx))
+                if receiver is None:  # listed first: only paying kills a payer
+                    row = rows[sender]
+                    payers = [i for i in net.alive_ids() if i != sender and row[i] <= d]
                 else:
-                    for nid in net.alive_ids():
-                        # only nid itself can die charging nid, so every nid is alive
-                        if nid != sender and net.dist(sender, nid) <= d:
-                            pay(charge(net, nid, rx))
+                    payers = (receiver,) if receiver != BS_ID and energy[receiver] > 0 else ()
+                amount = rx_cost * packets
+                for nid in payers:
+                    left = energy[nid]
+                    if amount < left:
+                        energy[nid] = left - amount
+                        pay(amount)
+                    else:  # dies receiving: spends what it had left
+                        energy[nid] = 0.0
+                        mark_dead(nid)
+                        pay(left)
     finally:
         if tally is not None:
             tally.add(spent)

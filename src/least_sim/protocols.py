@@ -102,12 +102,14 @@ def check_message(kind, tx_distance, packets) -> None:
 @dataclass
 class SetupOutcome:
     """Result of one setup phase: the map plus everything sent to build it,
-    as plain ``(kind, sender, tx_distance, packets, receiver)`` tuples."""
+    as plain ``(kind, sender, tx_distance, packets, receiver)`` tuples.
+
+    The log is the record of the round's roles: the host nodes are the
+    senders of ``HN_ANNOUNCE_TO_BS``, and each heir sends one
+    ``HEIR_NOTIFY_PARENT`` to the first-level node it replaces."""
 
     tree: RoutingTree
     messages: list[tuple] = field(default_factory=list)
-    host_nodes: set[int] = field(default_factory=set)
-    heirs: dict[int, list[int]] = field(default_factory=dict)
 
 
 def election_threshold(p: float, round_no: int, window: int) -> float:
@@ -300,4 +302,4 @@ def least_setup(net: Network, tree: RoutingTree | None, params: ProtocolParams,
     hosts, host_msgs = elect_host_nodes(net, tree, params, round_no, stream)
     heirs, heir_msgs = elect_heirs(net, tree, first_level, params, stream)
     relocate(net, tree, first_level, hosts, heirs)
-    return SetupOutcome(tree, host_msgs + heir_msgs, set(hosts), heirs)
+    return SetupOutcome(tree, host_msgs + heir_msgs)

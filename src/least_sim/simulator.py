@@ -184,13 +184,13 @@ class Simulation:
 
     def _steady_phase(self) -> tuple[int, int]:
         """Senders' packets climb the map, each forwarder charged inline in
-        sender-then-hop order exactly as ``charge(net, fwd, eps * d * d * packets)``
-        would: one left at exactly zero dies but still sends the packet on."""
+        sender-then-hop order and clamped as ``apply_messages`` clamps a
+        payer: one left at exactly zero dies but still sends the packet on."""
         packets = self.config.packets_per_sender
         senders = self._select_senders(self.net.alive_ids())
         if not senders or packets == 0:
             return 0, 0
-        eps, energy, table = self.config.energy.epsilon_amp, self.net.energy, self.net._dist
+        eps, energy, rows = self.config.energy.epsilon_amp, self.net.energy, self.net.table[1]
         parent = self.tree.parent  # read in place: the walk never changes the map
         hops = range(len(parent))  # more passes than any acyclic path has hops
         spent, delivered = [], 0  # spends in charge order, tallied even on an error
@@ -204,7 +204,7 @@ class Simulation:
                     if not left > 0:
                         break  # a dead sender sends nothing; a dead forwarder drops it
                     nxt = parent[fwd]
-                    d = table[fwd][nxt]
+                    d = rows[fwd][nxt]
                     amount = eps * d * d * packets
                     if amount < left:
                         energy[fwd] = left - amount

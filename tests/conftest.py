@@ -3,7 +3,7 @@ from collections import namedtuple
 import pytest
 
 from least_sim import Network
-from least_sim.protocols import check_message
+from least_sim.protocols import HEIR_NOTIFY_PARENT, HN_ANNOUNCE_TO_BS, check_message
 
 from tree_reference import parent_map
 
@@ -28,6 +28,46 @@ def tx_cost(d, packets, params):
     if packets < 0:
         raise ValueError(f"negative packet count: {packets}")
     return params.epsilon_amp * d * d * packets
+
+
+class DeadNodeError(RuntimeError):
+    """Charging a dead node is a protocol bug, not a recoverable condition."""
+
+
+def charge(net, node_id, amount):
+    """Deduct up to ``amount`` from sensor ``node_id``, killing it at zero: the
+    reference clamp that ``apply_messages`` and the steady phase write inline.
+
+    Returns what was actually spent (clamped at the remaining energy); a
+    return value below ``amount`` means the sensor died mid-transmission.
+    """
+    if not 0 < node_id <= net.n:  # a bare list index would wrap -1
+        raise KeyError(f"unknown sensor id: {node_id}")
+    left = net.energy[node_id]
+    if not left > 0:
+        raise DeadNodeError(f"node {node_id} is dead")
+    if amount < 0:
+        raise ValueError(f"negative charge: {amount}")
+    spent = amount if amount <= left else left
+    net.energy[node_id] = left = left - spent
+    if left == 0.0:
+        net.mark_dead(node_id)
+    return spent
+
+
+def hosts_of(outcome):
+    """The round's host nodes: the senders of the host announcements."""
+    return {m[1] for m in outcome.messages if m[0] == HN_ANNOUNCE_TO_BS}
+
+
+def heirs_of(outcome):
+    """The round's heirs by the first-level node they replace, in log order:
+    each heir notifies that parent once."""
+    heirs = {}
+    for kind, sender, _, _, receiver in outcome.messages:
+        if kind == HEIR_NOTIFY_PARENT:
+            heirs.setdefault(receiver, []).append(sender)
+    return heirs
 
 
 def to_lines(tree):

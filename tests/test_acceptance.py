@@ -31,12 +31,12 @@ from least_sim import (
     place_nodes,
     run,
 )
-from least_sim.analysis import compare_estimates
+from least_sim.analysis import estimate_leach, estimate_least
 from least_sim.cli import sweep_phn
 from least_sim.core import NetworkStats
 from least_sim.simulator import metrics_csv
 
-from conftest import FIVE_POSITIONS, checked, make_net
+from conftest import FIVE_POSITIONS, checked, heirs_of, hosts_of, make_net
 from tree_reference import parent_map, validate
 from trace_oracle import leach_trace, least_round_trace
 
@@ -200,21 +200,23 @@ def test_criterion_5_analytical_consistency(lifetime_runs):
         stats_accum[0] += stats.d_bar
         stats_accum[1] += stats.d_bar_max
     stats = NetworkStats(stats_accum[0] / len(SEEDS), stats_accum[1] / len(SEEDS))
-    est = compare_estimates(100, PAPER_CONFIG.params, stats, PAPER_CONFIG.energy.epsilon_amp)
+    eps = PAPER_CONFIG.energy.epsilon_amp
+    least = estimate_least(100, PAPER_CONFIG.params, stats, eps)
+    difference = estimate_leach(100, PAPER_CONFIG.params, stats, eps) - least
 
     setup = {
         p: mean(mean(r.setup_energy for r in runs[(p, s)][0][1:20]) for s in SEEDS)
         for p in ("leach", "least")
     }
-    ratio = est.least_estimate / setup["least"]
-    ok = est.difference > 0 and setup["least"] < setup["leach"] and 0.2 <= ratio <= 5.0
+    ratio = least / setup["least"]
+    ok = difference > 0 and setup["least"] < setup["leach"] and 0.2 <= ratio <= 5.0
     verdict(
         5, ok,
-        f"estimate difference {est.difference:+.3e} J, measured setup "
+        f"estimate difference {difference:+.3e} J, measured setup "
         f"least={setup['least']:.3e} < leach={setup['leach']:.3e}, "
         f"estimate/measured={ratio:.2f} (band [0.2, 5])",
     )
-    assert est.difference > 0
+    assert difference > 0
     assert setup["least"] < setup["leach"]
     assert 0.2 <= ratio <= 5.0
 
@@ -244,8 +246,8 @@ def test_criterion_6_invariant_suite():
             tree = out.tree
             assert validate(tree, net.alive_ids()) is None
             phases += 1
-            if round_no >= 2 and out.host_nodes:
-                for f, heirs in out.heirs.items():
+            if round_no >= 2 and hosts_of(out):
+                for f, heirs in heirs_of(out).items():
                     assert heirs, "heir guarantee"
                     for heir in heirs:
                         assert tree.parent[heir] == 0
@@ -260,11 +262,11 @@ def test_criterion_6_invariant_suite():
         before = set(sim.tree.first_level()) if sim.tree is not None else set()
         sim.run_round()
         out = sim.last_outcome
-        for h in out.host_nodes:
+        for h in hosts_of(out):
             if h in last_hn:
                 assert sim.round - last_hn[h] > window, "rotation window"
             last_hn[h] = sim.round
-        if sim.round >= 2 and out.host_nodes:
+        if sim.round >= 2 and hosts_of(out):
             assert before.isdisjoint(sim.tree.first_level()), "first-level turnover"
         drop = initial - sim.net.total_energy()
         assert drop == pytest.approx(sim.setup.total + sim.steady.total, rel=1e-9)

@@ -19,6 +19,7 @@ REMOVED = {
     "tree.RoutingTree.attach",
     "tree.RoutingTree.detach_subtree_root",
     "tree.RoutingTree.path_to_root",
+    "energy.charge",
 }
 
 

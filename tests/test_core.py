@@ -20,8 +20,7 @@ from least_sim import (
 )
 from least_sim import core
 from least_sim.core import bernoulli_bound, uniform_choice
-from least_sim.energy import DeadNodeError, charge
-from conftest import make_net
+from conftest import DeadNodeError, charge, make_net
 
 
 def bernoulli(stream, p):

@@ -11,10 +11,9 @@ from least_sim import (
     apply_messages,
     leach_setup,
 )
-from least_sim.energy import DeadNodeError, charge
 from least_sim.protocols import MESSAGE_KINDS
 
-from conftest import checked, make_net, tx_cost
+from conftest import DeadNodeError, charge, checked, make_net, tx_cost
 
 
 def test_tx_cost_formula():
@@ -288,9 +287,14 @@ def test_charge_rejects_ids_outside_the_sensors():
 
 
 def test_apply_rejects_unknown_receivers():
-    params = EnergyParams(epsilon_amp=0.0, rx_cost=0.01)
-    for receiver in (-1, 3):
-        net = make_net([(0, 0), (3, 4)])
-        with pytest.raises(KeyError, match="unknown sensor id"):
-            apply_messages(net, [("join_request", 1, 5.0, 1, receiver)], params)
-        assert net.energy == [0.0, 1.0, 1.0]
+    # on every record: with reception priced or free, from a live, a dead or
+    # the base-station sender, and before the sender is charged
+    for params in (EnergyParams(epsilon_amp=0.0, rx_cost=0.01), EnergyParams()):
+        for sender, energy in ((1, 1.0), (1, 0.0), (0, 1.0)):
+            for receiver in (-1, 3):
+                net = make_net([(0, 0), (3, 4)], energy=[energy, 1.0])
+                tally = EnergyTally()
+                with pytest.raises(KeyError, match="unknown sensor id"):
+                    apply_messages(net, [("join_request", sender, 5.0, 1, receiver)], params, tally)
+                assert net.energy == [0.0, energy, 1.0]
+                assert tally.total == 0.0

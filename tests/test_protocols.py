@@ -26,7 +26,7 @@ from least_sim.protocols import (
     rotation_eligible,
 )
 
-from conftest import FIVE_POSITIONS, checked, make_net, to_lines
+from conftest import FIVE_POSITIONS, checked, heirs_of, hosts_of, make_net, to_lines
 from tree_reference import DictRoutingTree, level, parent_map, tree_of, validate
 from trace_oracle import election, leach_trace, least_round_trace
 
@@ -299,7 +299,7 @@ def test_host_duty_equalizes_long_run():
     while sim.round < 101:
         sim.run_round()
         if sim.round >= 2:
-            for h in sim.last_outcome.host_nodes:
+            for h in hosts_of(sim.last_outcome):
                 counts[h] += 1
     per_node = [counts.get(i, 0) for i in range(1, 101)]
     assert min(per_node) >= 9  # nobody starves
@@ -400,7 +400,7 @@ def test_least_round_one_equals_leach(five_net):
     b = leach_setup(make_net(FIVE_POSITIONS, energy=0.1), params, 1, RandomStream(7))
     assert parent_map(a.tree) == parent_map(b.tree)
     assert msg_tuples(a.messages) == msg_tuples(b.messages)
-    assert a.host_nodes == set() and a.heirs == {}
+    assert hosts_of(a) == set() and heirs_of(a) == {}
 
 
 def test_least_round_two_golden_trace(five_net):
@@ -411,8 +411,8 @@ def test_least_round_two_golden_trace(five_net):
     assert parent_map(out1.tree) == {1: 2, 2: 0, 3: 2, 4: 2, 5: 2}
 
     out2 = least_setup(five_net, out1.tree, params, 2, stream)
-    assert sorted(out2.host_nodes) == [1, 4, 5]
-    assert out2.heirs == {2: [1]}
+    assert sorted(hosts_of(out2)) == [1, 4, 5]
+    assert heirs_of(out2) == {2: [1]}
     assert parent_map(out2.tree) == {1: 0, 2: 5, 3: 1, 4: 1, 5: 1}
     assert level(out2.tree, 2) == 3
     assert msg_tuples(out2.messages) == [
@@ -448,8 +448,8 @@ def test_least_matches_oracle_on_random_instances():
             pos, list(range(1, n + 1)), {}, want1, params, 2, ref
         )
         assert parent_map(out2.tree) == want2
-        assert sorted(out2.host_nodes) == want_hosts
-        assert {k: v for k, v in out2.heirs.items()} == want_heirs
+        assert sorted(hosts_of(out2)) == want_hosts
+        assert heirs_of(out2) == want_heirs
         assert [(m.kind, m.sender) for m in checked(out2.messages)] == [
             (k, s) for k, s, _, _ in want_msgs
         ]
@@ -463,7 +463,7 @@ def test_least_degenerate_composition(five_net):
     before = set(out1.tree.first_level())
     out2 = least_setup(five_net, out1.tree, params, 2, stream)
     for f in before:
-        assert out2.tree.parent[f] in out2.host_nodes
+        assert out2.tree.parent[f] in hosts_of(out2)
         assert f not in out2.tree.first_level()
 
 
@@ -490,16 +490,16 @@ def test_tree_valid_after_every_setup():
 
 def test_heir_guarantee_and_promotion():
     for before, outcome, sim in walk_rounds("least", 11, 40):
-        if not outcome.host_nodes:
+        if not hosts_of(outcome):
             continue  # round one or a stalled round
         for f in before:
-            for heir in outcome.heirs.get(f, []):
+            for heir in heirs_of(outcome).get(f, []):
                 assert sim.tree.parent[heir] == BS_ID
 
 
 def test_first_level_turnover():
     for before, outcome, sim in walk_rounds("least", 13, 40):
-        if not outcome.host_nodes:
+        if not hosts_of(outcome):
             continue
         assert before.isdisjoint(sim.tree.first_level())
 
@@ -511,7 +511,7 @@ def test_hn_rotation_never_violated():
     window = cfg.params.hn_rotation_window()
     while sim.round < 80:
         sim.run_round()
-        for h in sim.last_outcome.host_nodes:
+        for h in hosts_of(sim.last_outcome):
             if h in last_served:
                 assert sim.round - last_served[h] > window
             last_served[h] = sim.round
@@ -521,11 +521,11 @@ def test_minimum_first_level_width_at_ph_zero():
     # every first-level node with children contributes exactly one heir;
     # childless ones (heads nobody joined) contribute nothing
     for before, outcome, sim in walk_rounds("least", 21, 40, p_h=0.0):
-        if not outcome.host_nodes:
+        if not hosts_of(outcome):
             continue
-        assert all(len(v) == 1 for v in outcome.heirs.values())
-        assert len(sim.tree.first_level()) >= len(outcome.heirs)
-        assert set(outcome.heirs) <= before
+        assert all(len(v) == 1 for v in heirs_of(outcome).values())
+        assert len(sim.tree.first_level()) >= len(heirs_of(outcome))
+        assert set(heirs_of(outcome)) <= before
 
 
 def test_setup_outcome_deterministic():

@@ -22,10 +22,9 @@ from least_sim import (
 )
 from least_sim import core
 from least_sim.cli import parse_config, sweep_phn
-from least_sim.energy import charge
 from least_sim.simulator import METRICS_HEADER, metrics_csv
 
-from conftest import FIVE_POSITIONS, make_net, tx_cost
+from conftest import FIVE_POSITIONS, charge, heirs_of, hosts_of, make_net, tx_cost
 from tree_reference import attached, nodes, parent_map, path_to_root, tree_of, validate
 from trace_oracle import steady_trace
 
@@ -408,14 +407,25 @@ def test_least_stall_keeps_map():
 
 
 def test_first_level_equals_flattened_heirs():
-    cfg = SimConfig(n=10, seed=19, initial_energy=1e9, protocol="least", max_rounds=30)
-    sim = Simulation(cfg)
-    while sim.round < 30:
-        sim.run_round()
-        out = sim.last_outcome
-        if sim.round >= 2 and out.host_nodes:
-            want = sorted(e for heirs in out.heirs.values() for e in heirs)
-            assert sim.tree.first_level() == want
+    """Each round's log names its hosts and heirs: the host announcements'
+    senders are the sensors whose ``last_hn`` is this round, and the heirs
+    notifying their parents are the new first level. The two draining runs
+    go through deaths and stalled rounds."""
+    for n, seed, energy, rounds in ((10, 19, 1e9, 30), (25, 4, 0.02, 150), (25, 19, 0.02, 150)):
+        cfg = SimConfig(n=n, seed=seed, initial_energy=energy, protocol="least", max_rounds=rounds)
+        sim = Simulation(cfg)
+        stalled = 0
+        while sim.net.alive_count() and sim.round < rounds:
+            sim.run_round()
+            hosts = hosts_of(sim.last_outcome)
+            assert hosts == {i for i in range(1, n + 1) if sim.net.last_hn[i] == sim.round}
+            if hosts:
+                heirs = [h for group in heirs_of(sim.last_outcome).values() for h in group]
+                assert sorted(heirs) == sim.tree.first_level()
+            else:
+                stalled += sim.round > 1
+        if energy < 1:  # the draining runs reached deaths and stalls
+            assert sim.net.alive_count() < n and stalled
 
 
 def test_leach_depth_exactly_two_with_members():
@@ -497,12 +507,12 @@ def test_table_shared_only_for_equal_positions():
     ones = [1.0] * len(FIVE_POSITIONS)
     a = Network(FIVE_POSITIONS, (50.0, 50.0), ones)
     b = Network(FIVE_POSITIONS, (50.0, 50.0), ones, a.table)
-    assert b._dist is a._dist and b.table is a.table
+    assert b.table[1] is a.table[1] and b.table is a.table
     moved = FIVE_POSITIONS[:-1] + [(55.0, 45.5)]
     for positions, bs in ((moved, (50.0, 50.0)), (FIVE_POSITIONS, (0.0, 50.0))):
         net = Network(positions, bs, ones, a.table)
         fresh = Network(positions, bs, ones)
-        assert net._dist is not a._dist and net._dist == fresh._dist
+        assert net.table[1] is not a.table[1] and net.table[1] == fresh.table[1]
 
 
 def test_table_reused_across_runs_of_one_placement():
@@ -510,16 +520,16 @@ def test_table_reused_across_runs_of_one_placement():
     first = Simulation(cfg)
     first.run()
     assert first.net.alive_count() < cfg.n  # the run killed sensors
-    assert first.net._dist == Simulation(cfg).net._dist  # and left the table as built
+    assert first.net.table[1] == Simulation(cfg).net.table[1]  # and left the table as built
     second = Simulation(replace(cfg, protocol="leach"), table=first.net.table)
-    assert second.net._dist is first.net._dist
+    assert second.net.table[1] is first.net.table[1]
     assert second.net.alive_count() == cfg.n  # per-run state is never shared
     assert second.net._farthest is not first.net._farthest
     assert second.run() == Simulation(replace(cfg, protocol="leach")).run()
     for other in (replace(cfg, seed=4), replace(cfg, bs_pos=(0.0, 0.0))):
         sim = Simulation(other, table=first.net.table)
-        assert sim.net._dist is not first.net._dist
-        assert sim.net._dist == Simulation(other).net._dist
+        assert sim.net.table[1] is not first.net.table[1]
+        assert sim.net.table[1] == Simulation(other).net.table[1]
 
 
 @pytest.mark.parametrize("protocol", ["leach", "least"])
@@ -531,7 +541,7 @@ def test_run_above_the_table_size_equals_a_table_run(protocol):
     on_demand = Simulation(cfg)
     xy = on_demand.net.table[0]
     table = Simulation(cfg, table=(xy, [[math.dist(p, q) for q in xy] for p in xy]))
-    assert type(on_demand.net._dist[0]) is not list and type(table.net._dist[0]) is list
+    assert type(on_demand.net.table[1][0]) is not list and type(table.net.table[1][0]) is list
     assert on_demand.run() == table.run()
     assert on_demand.net.alive_count() < cfg.n  # sensors died, so rescans ran
     assert on_demand.last_outcome.messages == table.last_outcome.messages
