@@ -155,7 +155,8 @@ def network_stats(positions) -> NetworkStats:
 
 
 class _Row:
-    """``row[j]`` computes ``math.dist(p, xy[j])`` on demand: the float a table row holds."""
+    """``row[j]`` computes ``math.dist(p, xy[j])`` on demand: the float a table row holds.
+    The x-walks in ``Network`` make that call themselves; every other reader indexes."""
 
     __slots__ = ("p", "xy")
 
@@ -179,7 +180,9 @@ class Network:
     Up to ``_TABLE_MAX`` sensors the pairwise distances are precomputed
     once into list rows, (n+1)^2 floats at about 32 bytes each (15 MiB at
     n=700). Above it each row is a ``_Row`` that computes the same
-    ``math.dist`` when read, and memory grows as n (README, "Determinism").
+    ``math.dist`` when read, and memory grows as n (README, "Determinism");
+    over such rows the x-walks of ``nearest`` and ``farthest_alive_distance``
+    call ``math.dist`` on the points instead of reading the row.
     An earlier network's ``table`` (its ``(x, y)`` list, then its rows) is
     reused when the positions are equal: the rows are never written.
     """
@@ -226,7 +229,8 @@ class Network:
 
         ``candidates`` come in ascending id order; a tie goes to the smaller
         id. Short lists are scanned in that order; from longer ones sorted by
-        x, each source walks outward until both x-gaps pass ``best * _SLACK``."""
+        x, each source walks outward until both x-gaps pass ``best * _SLACK``.
+        The walk reads list rows, and calls ``math.dist`` in place of a ``_Row``."""
         if not sources:
             return []
         if not candidates:
@@ -244,9 +248,11 @@ class Network:
                 out.append((target, best))
             return out
         order = [0, *sorted(candidates, key=xy.__getitem__), 0]
-        xs = [-math.inf, *[xy[c][0] for c in order[1:-1]], math.inf]  # ends no walk passes
+        pts = [xy[c] for c in order]  # the points of order, index for index
+        xs = [-math.inf, *[x for x, _ in pts[1:-1]], math.inf]  # ends no walk passes
+        direct, dist = type(rows[0]) is _Row, math.dist  # a _Row's call, without its __getitem__
         for src in sources:
-            row, x = rows[src], xy[src][0]
+            row, p, x = rows[src], xy[src], xy[src][0]
             hi = bisect(xs, x)
             lo, gap_lo, gap_hi = hi - 1, x - xs[hi - 1], xs[hi] - x
             target, best, reach = 0, math.inf, math.inf
@@ -262,7 +268,7 @@ class Network:
                     i, hi = hi, hi + 1
                     gap_hi = xs[hi] - x
                 cand = order[i]
-                d = row[cand]
+                d = dist(p, pts[i]) if direct else row[cand]
                 if d < best or d == best and cand < target:
                     target, best, reach = cand, d, d * _SLACK
             out.append((target, best))
@@ -284,7 +290,8 @@ class Network:
         Cached per source: alive sets only shrink, so the farthest sensor
         stays the farthest while it lives, and the float is the same. A rescan
         scans the alive sensors in a network with a table, and otherwise walks
-        them by x from both ends inward (README, "Determinism")."""
+        them by x from both ends inward (README, "Determinism"). The walk
+        reads list rows, and calls ``math.dist`` in place of a ``_Row``."""
         row, far = self.table[1][from_id], self._farthest[from_id]
         if far is not None and self.energy[far] > 0:
             return row[far]
@@ -295,11 +302,12 @@ class Network:
                 if d > best:
                     best, far = d, i
         else:
-            xy = self.table[0]
+            xy, direct, dist = self.table[0], type(row) is _Row, math.dist
             if self._by_x is None:
                 ys = [y for _, y in xy]
                 self._by_x = sorted(self._alive_ids, key=xy.__getitem__), min(ys), max(ys)
-            (by_x, y_lo, y_hi), (x, y) = self._by_x, xy[from_id]
+            (by_x, y_lo, y_hi), p = self._by_x, xy[from_id]
+            x, y = p
             y_gap, lo, hi = max(y - y_lo, y_hi - y), 0, len(by_x) - 1
             while lo <= hi:
                 gap_lo, gap_hi = x - xy[by_x[lo]][0], xy[by_x[hi]][0] - x
@@ -309,7 +317,7 @@ class Network:
                     i, gap, hi = by_x[hi], gap_hi, hi - 1
                 if math.hypot(gap, y_gap) * _SLACK < best:
                     break
-                d = row[i]
+                d = dist(p, xy[i]) if direct else row[i]
                 if d > best:
                     best, far = d, i
         self._farthest[from_id] = far

@@ -659,6 +659,28 @@ def test_on_demand_rows_answer_like_table_rows_through_kills(data):
             charge(rows, victim, 2.0)
 
 
+def test_walks_over_on_demand_rows_make_no_row_object_call(monkeypatch):
+    """Over rows that compute on demand, ``nearest``'s walk and a
+    ``farthest_alive_distance`` rescan call ``math.dist`` on the points
+    themselves: no row object is read, and the answers are the table's."""
+    positions = place_nodes(SimConfig(n=200), RandomStream(5))
+    table = make_net(positions)
+    monkeypatch.setattr(core, "_TABLE_MAX", 0)
+    rows = make_net(positions)
+    reads = []
+    row_read = core._Row.__getitem__
+    monkeypatch.setattr(core._Row, "__getitem__", lambda row, j: reads.append(j) or row_read(row, j))
+    assert rows.dist(1, 2) == table.dist(1, 2) and reads == [2]  # the counter counts
+    reads.clear()
+    candidates, sources = list(range(1, 201, 3)), [0, *range(2, 201, 7)]
+    assert len(candidates) >= 64  # nearest walks
+    ids = [0, *range(1, 201, 11)]
+    got = rows.nearest(candidates, sources), [rows.farthest_alive_distance(i) for i in ids]
+    assert reads == []
+    monkeypatch.setattr(core, "_TABLE_MAX", 700)
+    assert got == (table.nearest(candidates, sources), [table.farthest_alive_distance(i) for i in ids])
+
+
 def test_network_above_the_table_size_builds_no_table():
     """At n=2000 a table would hold 2001**2 floats, about 128 MB; the rows
     that compute on demand take a few hundred kB."""
