@@ -205,13 +205,11 @@ def run_many(config: SimConfig, protocols, seeds):
 
 def _half_life(sim: Simulation) -> int:
     """Step a run only until half its sensors are dead, and return that round:
-    ``Simulation.run``'s half-life, or the round cap, a lower bound, if never
-    reached (0 if no round ran)."""
-    target, cap = math.ceil(sim.config.n / 2), sim.config.max_rounds
-    while sim.net.alive_count() > 0 and sim.round < cap:
-        if sim.run_round().dead_count >= target:
-            return sim.round
-    return cap if sim.round else 0
+    ``Simulation.half_life``, or the round cap, a lower bound, if never reached."""
+    cap = sim.config.max_rounds
+    while sim.half_life is None and sim.round < cap:  # a sensor is alive while it is None
+        sim.run_round()
+    return cap if sim.half_life is None else sim.half_life
 
 
 def sweep_phn(base_config: SimConfig, values, seeds) -> list[tuple[float, float]]:

@@ -143,6 +143,8 @@ class Simulation:
         self.last_outcome: SetupOutcome | None = None
         self.last_delivered = 0
         self.last_attempted = 0
+        # lifetime rounds, each set in the round it first holds; 0 if no sensor starts alive
+        self.first_death = self.half_life = self.all_dead = None if self.net.alive_count() else 0
 
     # -- round phases -------------------------------------------------
 
@@ -239,9 +241,16 @@ class Simulation:
         delivered, attempted = self._steady_phase()
         self.last_delivered, self.last_attempted = delivered, attempted
         self.delivered_total += delivered
+        n, dead = self.config.n, self.config.n - self.net.alive_count()
+        if self.first_death is None and dead:
+            self.first_death = self.round
+        if self.half_life is None and dead >= math.ceil(n / 2):
+            self.half_life = self.round
+        if dead == n:
+            self.all_dead = self.round
         return RoundMetrics(
             round=self.round,
-            dead_count=self.config.n - self.net.alive_count(),
+            dead_count=dead,
             total_energy=self.net.total_energy(),
             setup_energy=self.setup.round,
             steady_energy=self.steady.round,
@@ -250,28 +259,13 @@ class Simulation:
         )
 
     def run(self) -> tuple[list[RoundMetrics], LifetimeSummary]:
+        """Step to extinction or the round cap; the rows are this call's, the
+        summary covers every round since construction."""
         rows = []
         while self.net.alive_count() > 0 and self.round < self.config.max_rounds:
             rows.append(self.run_round())
-        return rows, self._summarize(rows)
-
-    def _summarize(self, rows: list[RoundMetrics]) -> LifetimeSummary:
-        n = self.config.n
-        if not rows:  # every sensor was dead before round one
-            return LifetimeSummary(0, 0, 0, 0.0)
-        first = half = dead = None
-        half_target = math.ceil(n / 2)
-        for row in rows:
-            if first is None and row.dead_count > 0:
-                first = row.round
-            if half is None and row.dead_count >= half_target:
-                half = row.round
-            if dead is None and row.dead_count == n:
-                dead = row.round
-        per_packet = (
-            self.steady.total / self.delivered_total if self.delivered_total else 0.0
-        )
-        return LifetimeSummary(first, half, dead, per_packet)
+        per_packet = self.steady.total / self.delivered_total if self.delivered_total else 0.0
+        return rows, LifetimeSummary(self.first_death, self.half_life, self.all_dead, per_packet)
 
 
 def run(config: SimConfig) -> tuple[list[RoundMetrics], LifetimeSummary]:

@@ -4,7 +4,7 @@ import copy
 import hashlib
 import json
 import math
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -462,6 +462,81 @@ def test_run_all_dead_at_start():
     assert summary.half_life_round == 0
     assert summary.all_dead_round == 0
     assert summary.avg_energy_per_packet == 0.0
+
+
+def scan_lifetime(n, rows, alive_at_start):
+    """Reference lifetime rounds: first death, half-life and extinction, read
+    off the rows of every round so far (None until each holds), all 0 when no
+    sensor was alive before round one."""
+    if not alive_at_start:
+        return 0, 0, 0
+    first = half = dead = None
+    half_target = math.ceil(n / 2)
+    for row in rows:
+        if first is None and row.dead_count > 0:
+            first = row.round
+        if half is None and row.dead_count >= half_target:
+            half = row.round
+        if dead is None and row.dead_count == n:
+            dead = row.round
+    return first, half, dead
+
+
+def test_summary_covers_rounds_stepped_before_run():
+    """``run``'s summary counts the rounds ``run_round`` stepped before it:
+    a run resumed 5 rounds past its first death still reports that death."""
+    cfg = SimConfig(n=30, seed=3, initial_energy=0.02, max_rounds=3000)
+    sim = Simulation(cfg)
+    while sim.run_round().dead_count == 0:
+        pass
+    for _ in range(5):
+        sim.run_round()
+    whole = run(cfg)[1]
+    assert whole.first_death_round == 31
+    assert sim.run()[1] == whole
+
+
+def lifetime(sim):
+    return sim.first_death, sim.half_life, sim.all_dead
+
+
+@st.composite
+def lifetime_runs(draw):
+    """A small draining config, sometimes with an injected network whose
+    sensors start on uneven batteries: some empty, or all of them."""
+    levels = st.sampled_from([0.0, 2e-5, 2e-4, 1e-3])
+    cfg = SimConfig(
+        n=draw(st.integers(1, 10)), protocol=draw(st.sampled_from(["leach", "least"])),
+        seed=draw(st.integers(0, 999)), initial_energy=draw(levels),
+        traffic_fraction=draw(st.sampled_from([0.0, 0.5, 1.0])),
+        max_rounds=draw(st.integers(1, 80)),
+    )
+    energies = draw(st.none() | st.lists(levels, min_size=cfg.n, max_size=cfg.n))
+    return cfg, energies
+
+
+@settings(max_examples=150, deadline=None)
+@given(lifetime_runs(), st.integers(0, 80))
+def test_lifetime_rounds_equal_a_scan_of_every_round_so_far(case, stepped):
+    """After every round the three lifetime attributes equal the reference
+    scan; ``run`` after ``stepped`` rounds gives the uninterrupted summary."""
+    cfg, energies = case
+
+    def fresh():
+        if energies is None:
+            return Simulation(cfg)
+        return Simulation(cfg, net=make_net(place_nodes(cfg, RandomStream(cfg.seed)), energies))
+
+    sim, rows = fresh(), []
+    alive_at_start = sim.net.alive_count() > 0
+    assert lifetime(sim) == scan_lifetime(cfg.n, rows, alive_at_start)
+    while sim.net.alive_count() and sim.round < min(stepped, cfg.max_rounds):
+        rows.append(sim.run_round())
+        assert lifetime(sim) == scan_lifetime(cfg.n, rows, alive_at_start)
+    rest, summary = sim.run()
+    assert lifetime(sim) == scan_lifetime(cfg.n, rows + rest, alive_at_start)
+    assert astuple(summary)[:3] == lifetime(sim)
+    assert (rows + rest, summary) == fresh().run()
 
 
 def test_run_monotone_metrics_and_conservation():
