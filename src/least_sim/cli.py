@@ -21,10 +21,9 @@ from pathlib import Path
 from statistics import median
 
 from . import __version__
-from .analysis import estimate_leach, estimate_least
 from .core import NetworkStats, RandomStream, network_stats
 from .energy import EnergyParams
-from .protocols import ProtocolParams
+from .protocols import ProtocolParams, estimate_leach, estimate_least
 from .simulator import (
     PROTOCOLS,
     LifetimeSummary,

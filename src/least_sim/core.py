@@ -274,15 +274,16 @@ class Network:
             out.append((target, best))
         return out
 
-    def farthest(self, src: int, ids) -> float:
-        """Largest distance from ``src`` to any of ``ids`` (``src`` itself is at 0); 0 if none."""
+    def farthest(self, src: int, ids) -> tuple[float, int | None]:
+        """``(distance, id)`` of the first of ``ids`` farthest from ``src``
+        (``src`` itself is at 0); ``(0.0, None)`` if none lies beyond 0."""
         row = self.table[1][src]
-        best = 0.0
+        best, far = 0.0, None
         for i in ids:
             d = row[i]
             if d > best:
-                best = d
-        return best
+                best, far = d, i
+        return best, far
 
     def farthest_alive_distance(self, from_id: int) -> float:
         """Distance to the farthest other alive sensor; 0 when there is none.
@@ -295,13 +296,10 @@ class Network:
         row, far = self.table[1][from_id], self._farthest[from_id]
         if far is not None and self.energy[far] > 0:
             return row[far]
-        best, far = 0.0, None
         if self.n <= _TABLE_MAX:  # a table row reads fast enough that the scan wins
-            for i in self._alive_ids:
-                d = row[i]
-                if d > best:
-                    best, far = d, i
+            best, far = self.farthest(from_id, self._alive_ids)
         else:
+            best, far = 0.0, None
             xy, direct, dist = self.table[0], type(row) is _Row, math.dist
             if self._by_x is None:
                 ys = [y for _, y in xy]

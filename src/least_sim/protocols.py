@@ -10,7 +10,9 @@ consume no draws.
 
 Message pricing is delegated to the energy module; this module only records
 what was sent, by whom, and over which distance, as plain
-``(kind, sender, tx_distance, packets, receiver)`` tuples.
+``(kind, sender, tx_distance, packets, receiver)`` tuples. Below the setups,
+``estimate_least`` and ``estimate_leach`` price the same messages in closed
+form, from the network's distance statistics.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .core import BS_ID, Network, RandomStream, bernoulli_bound, uniform_choice
+from .core import BS_ID, Network, NetworkStats, RandomStream, bernoulli_bound, uniform_choice
 from .tree import RoutingTree
 
 CH_ANNOUNCE = "ch_announce"
@@ -118,8 +120,6 @@ def election_threshold(p: float, round_no: int, window: int) -> float:
     Rises through each rotation cycle so that, when 1/p is an integer, the
     last round of the cycle forces every still-eligible node to elect itself.
     """
-    if p <= 0.0:
-        return 0.0
     if window <= 0:
         return p
     denom = 1.0 - p * (round_no % window)
@@ -206,7 +206,7 @@ def elect_host_nodes(net: Network, tree: RoutingTree, params: ProtocolParams,
         last_hn[h] = round_no
     rows = net.table[1]  # the distance rows, read as net.dist reads them
     messages = [(HN_ANNOUNCE_TO_BS, h, rows[h][BS_ID], 1, BS_ID) for h in hosts]
-    notice = net.farthest(BS_ID, tree.children[BS_ID])
+    notice = net.farthest(BS_ID, tree.children[BS_ID])[0]
     messages.append((BS_NOTIFY_FIRST_LEVEL, BS_ID, notice, 1, None))
     return hosts, messages
 
@@ -240,7 +240,7 @@ def elect_heirs(net: Network, tree: RoutingTree, first_level, params: ProtocolPa
             messages += (
                 (HEIR_NOTIFY_PARENT, heir, rows[heir][parent], 1, parent),
                 (HEIR_RELAY_TO_BS, parent, to_bs, 1, BS_ID),
-                (HEIR_ANNOUNCE_SIBLINGS, heir, farthest(heir, kids), sibling_packets, None),
+                (HEIR_ANNOUNCE_SIBLINGS, heir, farthest(heir, kids)[0], sibling_packets, None),
             )
     return heirs, messages
 
@@ -255,7 +255,7 @@ def relocate(net: Network, tree: RoutingTree, first_level, host_nodes, heirs) ->
     node, never one of the formers. Deeper descendants keep their parents.
 
     Every move is silent, as in the closed-form setup estimate
-    (``analysis.estimate_least``), which charges host announcements and three
+    (``estimate_least`` below), which charges host announcements and three
     heir messages per first-level node and nothing for relocation. The base
     station's notice already tells the first-level nodes where the hosts
     are, and each heir's sibling announcement tells its siblings who their
@@ -303,3 +303,25 @@ def least_setup(net: Network, tree: RoutingTree | None, params: ProtocolParams,
     heirs, heir_msgs = elect_heirs(net, tree, first_level, params, stream)
     relocate(net, tree, first_level, hosts, heirs)
     return SetupOutcome(tree, host_msgs + heir_msgs)
+
+
+# Closed-form per-round setup power, scaled by the simulator's amplifier constant so
+# estimate and measurement share units. These are proportionality estimates: compare
+# them by sign and order of magnitude, not by exact value.
+def estimate_least(n: int, params: ProtocolParams, stats: NetworkStats,
+                   epsilon: float) -> float:
+    """Per-round setup power of the tree protocol: host announcements at the
+    far-node scale plus three heir messages per first-level node at the
+    mean-pair scale. An upper-bound style estimate; measurement may fall below."""
+    return epsilon * n * (
+        params.p_hn * stats.d_bar_max**2 + 3.0 * params.p_ch * stats.d_bar**2
+    )
+
+
+def estimate_leach(n: int, params: ProtocolParams, stats: NetworkStats,
+                   epsilon: float) -> float:
+    """Per-round setup power of the baseline: head announcements at the
+    far-node scale plus every other node joining at the mean-pair scale."""
+    return epsilon * n * (
+        params.p_ch * stats.d_bar_max**2 + (1.0 - params.p_ch) * stats.d_bar**2
+    )

@@ -138,7 +138,6 @@ class Simulation:
         self.tree: RoutingTree | None = None
         self._pruned_alive: int | None = None  # alive count at the last prune
         self.round = 0
-        self.initial_total = self.net.total_energy()
         self.delivered_total = 0
         self.last_outcome: SetupOutcome | None = None
         self.last_delivered = 0
@@ -210,8 +209,7 @@ class Simulation:
                     amount = eps * d * d * packets
                     if amount < left:
                         energy[fwd] = left - amount
-                        if amount:
-                            spent.append(amount)
+                        spent.append(amount)
                     else:  # dies transmitting: spends what it had left
                         energy[fwd] = 0.0
                         self.net.mark_dead(fwd)

@@ -31,9 +31,9 @@ from least_sim import (
     place_nodes,
     run,
 )
-from least_sim.analysis import estimate_leach, estimate_least
 from least_sim.cli import sweep_phn
 from least_sim.core import NetworkStats
+from least_sim.protocols import estimate_leach, estimate_least
 from least_sim.simulator import metrics_csv
 
 from conftest import FIVE_POSITIONS, checked, heirs_of, hosts_of, make_net

@@ -5,8 +5,8 @@ import random
 import pytest
 
 from least_sim import ProtocolParams
-from least_sim.analysis import estimate_leach, estimate_least
 from least_sim.core import NetworkStats
+from least_sim.protocols import estimate_leach, estimate_least
 
 
 UNIT = NetworkStats(d_bar=1.0, d_bar_max=1.0)

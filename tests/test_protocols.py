@@ -18,7 +18,7 @@ from least_sim import (
     least_setup,
     relocate,
 )
-from least_sim.core import BS_ID, uniform_choice
+from least_sim.core import BS_ID, bernoulli_bound, uniform_choice
 from least_sim.protocols import (
     _run_election,
     check_message,
@@ -28,7 +28,7 @@ from least_sim.protocols import (
 
 from conftest import FIVE_POSITIONS, checked, heirs_of, hosts_of, make_net, to_lines
 from tree_reference import DictRoutingTree, level, parent_map, tree_of, validate
-from trace_oracle import election, leach_trace, least_round_trace
+from trace_oracle import election, leach_trace, least_round_trace, threshold_of
 
 
 def msg_tuples(messages):
@@ -58,6 +58,18 @@ def test_threshold_cycle():
     assert election_threshold(0.2, 9, 5) == pytest.approx(1.0)
     assert election_threshold(1.0, 1, 1) == 1.0
     assert election_threshold(0.0, 3, 0) == 0.0
+
+
+@settings(max_examples=500, deadline=None)
+@given(p=st.floats(0.0, 1.0) | st.sampled_from([0.0, -0.0, 5e-324, 1.0]),
+       round_no=st.integers(0, 200), window=st.integers(0, 50))
+def test_threshold_equals_oracle(p, round_no, window):
+    """The formula needs no branch of its own for p = 0: it gives 0.0 there,
+    and -0.0 (which ``ProtocolParams`` accepts) a bound of 0, as 0.0 does.
+    Windows reach past 1/p, where the denominator falls to 0 and below."""
+    got, want = election_threshold(p, round_no, window), threshold_of(p, round_no, window)
+    assert got == want
+    assert bernoulli_bound(got) == bernoulli_bound(want)
 
 
 def test_empty_election_makes_one_draw_the_uniform_pick():

@@ -262,20 +262,22 @@ def test_forwarder_dying_at_exactly_zero_still_delivers(monkeypatch):
 def test_alive_sender_missing_from_map_raises():
     sim = chain_sim([1.0, 1.0, 1.0])
     sim.tree = tree_of(3, [(1, 0), (2, 1)])  # 3 is left out of the map
+    start = sim.net.total_energy()
     with pytest.raises(ValueError, match="unknown node: 3"):
         sim._steady_phase()
     # senders 1 and 2 were charged and recorded; sensor 3 paid nothing
     hop = 2.0**-22
     assert [sim.net.energy[i] for i in (1, 2, 3)] == [1.0 - hop - hop, 1.0 - hop, 1.0]
-    assert sim.setup.total + sim.steady.total == sim.initial_total - sim.net.total_energy() == 3 * hop
+    assert sim.setup.total + sim.steady.total == start - sim.net.total_energy() == 3 * hop
 
 
 def test_parent_cycle_raises():
     sim = chain_sim([1.0, 1.0])
     sim.tree.parent[1] = 2  # 1 -> 2 -> 1; no setup writes such a list
+    start = sim.net.total_energy()
     with pytest.raises(RuntimeError, match="parent cycle"):
         sim._steady_phase()
-    assert sim.setup.total + sim.steady.total == sim.initial_total - sim.net.total_energy()
+    assert sim.setup.total + sim.steady.total == start - sim.net.total_energy()
 
 
 def test_steady_phase_needs_no_setup_ceremony():
