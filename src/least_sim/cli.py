@@ -183,15 +183,15 @@ def _fan_out(fn, items) -> list:
 
 
 def _run_placement(configs, finish=None) -> list:
-    """Run configs of one seed in turn; later runs reuse the first one's distance table.
+    """Run configs of one seed in turn; later runs reuse the first one's ``(xy, rows)``.
 
     A run's result is ``sim.run()``, or ``finish(sim)`` when given."""
     out, table = [], None
     for config in configs:
         sim = Simulation(config, table=table)
-        table = sim.net.table
+        table = sim.net.xy, sim.net.rows
         out.append(sim.run() if finish is None else finish(sim))
-        del sim  # between runs hold only the table, not the finished run
+        del sim  # between runs hold only the pair, not the finished run
     return out
 
 

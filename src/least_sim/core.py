@@ -183,8 +183,9 @@ class Network:
     ``math.dist`` when read, and memory grows as n (README, "Determinism");
     over such rows the x-walks of ``nearest`` and ``farthest_alive_distance``
     call ``math.dist`` on the points instead of reading the row.
-    An earlier network's ``table`` (its ``(x, y)`` list, then its rows) is
-    reused when the positions are equal: the rows are never written.
+    ``xy`` holds the points by id and ``rows[a][b]`` is the distance between
+    ids a and b. An earlier network's ``(xy, rows)``, passed as ``table``, is
+    reused when the points are equal: the rows are never written.
     """
 
     def __init__(self, positions, bs_pos: tuple, energies, table: tuple | None = None):
@@ -200,7 +201,7 @@ class Network:
             check_span(xy, "sensor coordinates")
             table = (xy, [list(map(math.dist, repeat(p), xy)) if n <= _TABLE_MAX
                           else _Row(p, xy) for p in xy])
-        self.table = table
+        self.xy, self.rows = table
         self.energy = [0.0, *energies]
         self.last_ch: list = [None] * (n + 1)
         self.last_hn: list = [None] * (n + 1)
@@ -220,10 +221,6 @@ class Network:
     def alive_count(self) -> int:
         return len(self._alive_ids)
 
-    def dist(self, a: int, b: int) -> float:
-        """Distance between node ids; id 0 is the base station."""
-        return self.table[1][a][b]
-
     def nearest(self, candidates: list[int], sources: list[int]) -> list[tuple[int, float]]:
         """The nearest candidate to each source, as ``(id, distance)`` pairs.
 
@@ -235,7 +232,7 @@ class Network:
             return []
         if not candidates:
             raise ValueError("empty candidate set")
-        out, (xy, rows) = [], self.table
+        out, xy, rows = [], self.xy, self.rows
         if len(candidates) <= _SCAN_MAX:
             first, rest = candidates[0], candidates[1:]
             for src in sources:
@@ -277,7 +274,7 @@ class Network:
     def farthest(self, src: int, ids) -> tuple[float, int | None]:
         """``(distance, id)`` of the first of ``ids`` farthest from ``src``
         (``src`` itself is at 0); ``(0.0, None)`` if none lies beyond 0."""
-        row = self.table[1][src]
+        row = self.rows[src]
         best, far = 0.0, None
         for i in ids:
             d = row[i]
@@ -293,14 +290,14 @@ class Network:
         scans the alive sensors in a network with a table, and otherwise walks
         them by x from both ends inward (README, "Determinism"). The walk
         reads list rows, and calls ``math.dist`` in place of a ``_Row``."""
-        row, far = self.table[1][from_id], self._farthest[from_id]
+        row, far = self.rows[from_id], self._farthest[from_id]
         if far is not None and self.energy[far] > 0:
             return row[far]
         if self.n <= _TABLE_MAX:  # a table row reads fast enough that the scan wins
             best, far = self.farthest(from_id, self._alive_ids)
         else:
             best, far = 0.0, None
-            xy, direct, dist = self.table[0], type(row) is _Row, math.dist
+            xy, direct, dist = self.xy, type(row) is _Row, math.dist
             if self._by_x is None:
                 ys = [y for _, y in xy]
                 self._by_x = sorted(self._alive_ids, key=xy.__getitem__), min(ys), max(ys)

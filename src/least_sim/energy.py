@@ -64,7 +64,7 @@ def apply_messages(net: Network, messages, params: EnergyParams,
     """
     eps, rx_cost, inf = params.epsilon_amp, params.rx_cost, math.inf
     pay_rx = rx_cost > 0.0
-    energy, mark_dead, n, rows = net.energy, net.mark_dead, net.n, net.table[1]
+    energy, mark_dead, n, rows = net.energy, net.mark_dead, net.n, net.rows
     spent = []  # in charge order; tallied even if a later record is rejected
     pay = spent.append
     try:

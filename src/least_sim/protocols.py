@@ -204,8 +204,7 @@ def elect_host_nodes(net: Network, tree: RoutingTree, params: ProtocolParams,
     hosts = _run_election(stream, eligible, threshold, eligible)  # ascending
     for h in hosts:
         last_hn[h] = round_no
-    rows = net.table[1]  # the distance rows, read as net.dist reads them
-    messages = [(HN_ANNOUNCE_TO_BS, h, rows[h][BS_ID], 1, BS_ID) for h in hosts]
+    messages = [(HN_ANNOUNCE_TO_BS, h, net.rows[h][BS_ID], 1, BS_ID) for h in hosts]
     notice = net.farthest(BS_ID, tree.children[BS_ID])[0]
     messages.append((BS_NOTIFY_FIRST_LEVEL, BS_ID, notice, 1, None))
     return hosts, messages
@@ -224,7 +223,7 @@ def elect_heirs(net: Network, tree: RoutingTree, first_level, params: ProtocolPa
     heirs: dict[int, list[int]] = {}
     messages = []
     draw, bound = stream.next_u64, bernoulli_bound(params.p_h)  # one draw per child, ascending
-    rows, farthest, children = net.table[1], net.farthest, tree.children
+    rows, farthest, children = net.rows, net.farthest, tree.children
     for parent in sorted(first_level):
         kids = children[parent]
         if not kids:

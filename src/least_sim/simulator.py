@@ -122,7 +122,7 @@ class Simulation:
 
     ``net`` may be injected for fixture-based tests, in which case the
     placement draws are skipped and the stream starts at the elections.
-    Otherwise the placement's ``Network`` reuses ``table`` when it fits.
+    Otherwise the placement's ``Network`` reuses ``table``, an earlier ``(xy, rows)``, when it fits.
     """
 
     def __init__(self, config: SimConfig, net: Network | None = None, table=None):
@@ -191,7 +191,7 @@ class Simulation:
         senders = self._select_senders(self.net.alive_ids())
         if not senders or packets == 0:
             return 0, 0
-        eps, energy, rows = self.config.energy.epsilon_amp, self.net.energy, self.net.table[1]
+        eps, energy, rows = self.config.energy.epsilon_amp, self.net.energy, self.net.rows
         parent = self.tree.parent  # read in place: the walk never changes the map
         hops = range(len(parent))  # more passes than any acyclic path has hops
         spent, delivered = [], 0  # spends in charge order, tallied even on an error

@@ -8,13 +8,40 @@ alive count of the last prune: pruning a map again that no death has
 changed since gives the same parent list.
 """
 
+import json
+from pathlib import Path
+
 from least_sim import Network, RandomStream, RoutingTree, SimConfig, Simulation
+from least_sim.core import BS_ID
+
+CHECKPOINT_DIR = Path(__file__).parent / "golden" / "checkpoints"
+
+#: Criterion 1's profile (n=100, 0.1 J, no data traffic) with a 20,000-round cap:
+#: LEAST seed 1 locks into a star at round 6,174, and 2,648 host elections stall by the cap.
+STAR_LOCK = SimConfig(protocol="least", seed=1, traffic_fraction=0.0, max_rounds=20_000)
+
+#: Saved states deep in long runs: name -> (config, round k, what round k is the
+#: first to show). ``golden/checkpoints/<name>.json`` holds the state after round k - 1.
+CHECKPOINTS = {
+    # the star lock's onset: the first stalled host election
+    "star_lock_onset": (STAR_LOCK, 6_174, lambda sim: not sim.last_outcome.messages),
+    # the golden traffic_full profile: every alive sensor at level one
+    "all_level_one": (
+        SimConfig(protocol="least", seed=1, n=30, initial_energy=0.002, max_rounds=400), 34,
+        lambda sim: all(sim.tree.parent[i] == BS_ID for i in sim.net.alive_ids())),
+    # the first death at full traffic and the defaults
+    "first_death": (SimConfig(protocol="least", seed=3), 270,
+                    lambda sim: sim.first_death is not None),
+    # a lone survivor at partial traffic, which then idles to the round cap
+    "lone_survivor": (SimConfig(protocol="least", seed=5, n=30, traffic_fraction=0.5), 1_758,
+                      lambda sim: sim.net.alive_count() == 1),
+}
 
 
 def snapshot(sim: Simulation) -> dict:
     net = sim.net
     return {
-        "positions": [list(map(float.hex, p)) for p in net.table[0][1:]],
+        "positions": [list(map(float.hex, p)) for p in net.xy[1:]],
         "energy": list(map(float.hex, net.energy[1:])),
         "last_ch": list(net.last_ch),
         "last_hn": list(net.last_hn),
@@ -45,3 +72,13 @@ def restore(config: SimConfig, snap: dict) -> Simulation:
     sim.first_death, sim.half_life, sim.all_dead = (
         snap["first_death"], snap["half_life"], snap["all_dead"])
     return sim
+
+
+def write_checkpoints() -> None:
+    """Run every checkpoint's config to its round and save the state."""
+    CHECKPOINT_DIR.mkdir(parents=True, exist_ok=True)
+    for name, (config, at, _) in CHECKPOINTS.items():
+        sim = Simulation(config)
+        for _ in range(at - 1):
+            sim.run_round()
+        (CHECKPOINT_DIR / f"{name}.json").write_text(json.dumps(snapshot(sim), indent=1) + "\n")

@@ -463,7 +463,7 @@ def test_network_rejects_distances_that_overflow():
     for positions in ([(-1e307, 0.0), (1e307, 0.0)], [(0.0, 0.0), (1e154, 1e154)]):
         with pytest.raises(ValueError, match="squared distances would overflow"):
             Network(positions, (0, 0), [1.0, 1.0])
-    assert Network([(-1e153, 0.0), (1e153, 0.0)], (0, 0), [1.0, 1.0]).dist(1, 2) == 2e153
+    assert Network([(-1e153, 0.0), (1e153, 0.0)], (0, 0), [1.0, 1.0]).rows[1][2] == 2e153
 
 
 def test_simulation_rejects_a_field_whose_costs_overflow():
@@ -480,9 +480,9 @@ def test_network_rejects_bad_energies(bad):
 
 
 def test_network_distance_table(five_net):
-    assert five_net.dist(1, 1) == 0.0
-    assert five_net.dist(1, 2) == pytest.approx(distance((10, 10), (20, 80)))
-    assert five_net.dist(0, 5) == pytest.approx(distance((50, 50), (55, 45)))
+    assert five_net.rows[1][1] == 0.0
+    assert five_net.rows[1][2] == pytest.approx(distance((10, 10), (20, 80)))
+    assert five_net.rows[0][5] == pytest.approx(distance((50, 50), (55, 45)))
 
 
 def test_network_table_equals_hypot_reference():
@@ -493,11 +493,11 @@ def test_network_table_equals_hypot_reference():
     ids = range(len(pts))
     for a, (px, py) in enumerate(pts):
         expected = [math.hypot(px - qx, py - qy) for qx, qy in pts]
-        assert [net.dist(a, b) for b in ids] == expected, a
+        assert [net.rows[a][b] for b in ids] == expected, a
 
 
 def test_network_farthest_alive(five_net):
-    expected = max(five_net.dist(1, j) for j in range(2, 6))
+    expected = max(five_net.rows[1][j] for j in range(2, 6))
     assert five_net.farthest_alive_distance(1) == pytest.approx(expected)
 
 
@@ -537,7 +537,7 @@ def build_grid_net(positions, bs, ulp_low):
     may give."""
     net = make_net(positions, bs=bs)
     if ulp_low:
-        xy = net.table[0]
+        xy = net.xy
         rows = [[math.nextafter(math.dist(p, q), 0.0) for q in xy] for p in xy]
         net = Network(positions, bs, [1.0] * len(positions), (xy, rows))
     return net
@@ -553,9 +553,9 @@ def scan_nearest(net, candidates, sources):
     for src in sources:
         target = candidates[0]
         for cand in candidates[1:]:
-            if net.dist(src, cand) < net.dist(src, target):
+            if net.rows[src][cand] < net.rows[src][target]:
                 target = cand
-        out.append((target, net.dist(src, target)))
+        out.append((target, net.rows[src][target]))
     return out
 
 
@@ -578,10 +578,10 @@ def test_nearest_walk_gives_ties_to_the_smaller_id():
     fill = [(100.0, 1.0 * k) for k in range(62)]  # sensors 3..64, 50 m off in x
     positions = [(25.0, 50.0), (50.0, 75.0), *fill, (50.0, 50.0), (50.0, 50.0)]
     exact = make_net(positions)  # the base station at (50, 50)
-    low = [[math.nextafter(d, 0.0) for d in row] for row in exact.table[1]]
-    for net in (exact, Network(positions, (50.0, 50.0), [1.0] * 66, (exact.table[0], low))):
-        assert net.dist(0, 1) == net.dist(0, 2)
-        assert net.nearest(list(range(1, 65)), [0]) == [(1, net.dist(0, 1))]
+    low = [[math.nextafter(d, 0.0) for d in row] for row in exact.rows]
+    for net in (exact, Network(positions, (50.0, 50.0), [1.0] * 66, (exact.xy, low))):
+        assert net.rows[0][1] == net.rows[0][2]
+        assert net.nearest(list(range(1, 65)), [0]) == [(1, net.rows[0][1])]
         assert net.nearest(list(range(1, 67)), [0]) == [(65, 0.0)]
 
 
@@ -609,7 +609,7 @@ def test_farthest_alive_equals_brute_force_through_kills(data):
             rng = random.Random(seed)
 
             def brute(i):
-                return max([net.dist(i, j) for j in net.alive_ids() if j != i], default=0.0)
+                return max([net.rows[i][j] for j in net.alive_ids() if j != i], default=0.0)
 
             while True:
                 rng.shuffle(ids)
@@ -635,9 +635,9 @@ def test_on_demand_rows_answer_like_table_rows_through_kills(data):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(core, "_TABLE_MAX", 0)
         rows = make_net(positions, bs=bs)
-    assert type(table.table[1][0]) is list and type(rows.table[1][0]) is not list
+    assert type(table.rows[0]) is list and type(rows.rows[0]) is not list
     ids = list(range(n + 1))
-    assert [[rows.dist(a, b) for b in ids] for a in ids] == table.table[1]
+    assert [[rows.rows[a][b] for b in ids] for a in ids] == table.rows
 
     def answers(net, candidates, sources, order):
         searches = [net.nearest(candidates, sources), [net.farthest(s, candidates) for s in sources]]
@@ -670,7 +670,7 @@ def test_walks_over_on_demand_rows_make_no_row_object_call(monkeypatch):
     reads = []
     row_read = core._Row.__getitem__
     monkeypatch.setattr(core._Row, "__getitem__", lambda row, j: reads.append(j) or row_read(row, j))
-    assert rows.dist(1, 2) == table.dist(1, 2) and reads == [2]  # the counter counts
+    assert rows.rows[1][2] == table.rows[1][2] and reads == [2]  # the counter counts
     reads.clear()
     candidates, sources = list(range(1, 201, 3)), [0, *range(2, 201, 7)]
     assert len(candidates) >= 64  # nearest walks

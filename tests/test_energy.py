@@ -205,7 +205,7 @@ def reference_apply(net, messages, params, tally):
                     tally.add([charge(net, receiver, rx_cost * packets)])
             else:
                 for nid in net.alive_ids():
-                    if nid != sender and net.dist(sender, nid) <= d:
+                    if nid != sender and net.rows[sender][nid] <= d:
                         tally.add([charge(net, nid, rx_cost * packets)])
 
 

@@ -9,8 +9,10 @@ digits, so ``golden/bits.json`` also hashes, per profile, protocol and
 seed, each run's state to the last bit: every ``RoundMetrics`` field (floats
 as ``float.hex``), the ``LifetimeSummary``, the random stream's state, the
 delivered packet count and both energy tallies' totals. A refactor must
-leave every digest unchanged. A change to the model on purpose regenerates
-the corpus, in a commit of its own, with
+leave every digest unchanged. The corpus also holds the round checkpoints
+of ``checkpoint.CHECKPOINTS``, states deep in long runs, in
+``golden/checkpoints/`` (``test_checkpoint.py`` checks them). A change to
+the model on purpose regenerates all of it, in a commit of its own, with
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -27,6 +29,8 @@ from pathlib import Path
 from least_sim import Simulation
 from least_sim.cli import main, parse_config, parse_seeds
 from least_sim.simulator import PROTOCOLS
+
+from checkpoint import CHECKPOINT_DIR, write_checkpoints
 
 DIGESTS = Path(__file__).parent / "golden" / "digests.json"
 BITS = Path(__file__).parent / "golden" / "bits.json"
@@ -133,4 +137,6 @@ if __name__ == "__main__":
     DIGESTS.parent.mkdir(exist_ok=True)
     DIGESTS.write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n")
     BITS.write_text(json.dumps(bits, indent=1, sort_keys=True) + "\n")
-    print(f"wrote {len(digests)} digests to {DIGESTS} and {len(bits)} to {BITS}", file=sys.stderr)
+    write_checkpoints()
+    print(f"wrote {len(digests)} digests to {DIGESTS}, {len(bits)} to {BITS} "
+          f"and the checkpoints to {CHECKPOINT_DIR}", file=sys.stderr)

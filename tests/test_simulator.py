@@ -122,7 +122,7 @@ def test_round_charges_match_recorded_paths():
     for sender in sim.net.alive_ids():
         path = path_to_root(sim.tree, sender)
         want += sum(
-            eps * sim.net.dist(path[i], path[i + 1]) ** 2 for i in range(len(path) - 1)
+            eps * sim.net.rows[path[i]][path[i + 1]] ** 2 for i in range(len(path) - 1)
         )
     assert sim.steady.round == pytest.approx(want, rel=1e-12)
 
@@ -156,7 +156,7 @@ def reference_steady(sim):
         for fwd, nxt in zip(path, path[1:]):
             if net.energy[fwd] == 0.0:
                 break
-            cost = tx_cost(net.dist(fwd, nxt), packets, cfg.energy)
+            cost = tx_cost(net.rows[fwd][nxt], packets, cfg.energy)
             spent = charge(net, fwd, cost)
             sim.steady.add([spent])
             if spent < cost:
@@ -197,7 +197,7 @@ def steady_cases(draw):
             sim.run_round()
     eps, packets, parent = cfg.energy.epsilon_amp, cfg.packets_per_sender, parent_map(sim.tree)
     for i in sim.net.alive_ids():
-        d = sim.net.dist(i, parent[i]) if i in parent else 0.0
+        d = sim.net.rows[i][parent[i]] if i in parent else 0.0
         exact = eps * d * d * packets
         choice = draw(st.sampled_from(["keep", "exact", "tiny", "float"]))
         if choice == "exact" and exact > 0:
@@ -226,7 +226,7 @@ def test_steady_phase_matches_oracle(sim):
     with the package; the senders come from the package's own draw."""
     net = sim.net
     senders = copy.deepcopy(sim)._select_senders(net.alive_ids())
-    pos = dict(enumerate(net.table[0]))  # the base station at 0, then sensors 1..n
+    pos = dict(enumerate(net.xy))  # the base station at 0, then sensors 1..n
     energy = {i: net.energy[i] for i in range(1, net.n + 1)}
     packets = sim.config.packets_per_sender
     total, delivered = steady_trace(pos, energy, parent_map(sim.tree), senders, packets,
@@ -583,13 +583,13 @@ def test_run_byte_identical_per_seed():
 def test_table_shared_only_for_equal_positions():
     ones = [1.0] * len(FIVE_POSITIONS)
     a = Network(FIVE_POSITIONS, (50.0, 50.0), ones)
-    b = Network(FIVE_POSITIONS, (50.0, 50.0), ones, a.table)
-    assert b.table[1] is a.table[1] and b.table is a.table
+    b = Network(FIVE_POSITIONS, (50.0, 50.0), ones, (a.xy, a.rows))
+    assert b.rows is a.rows and b.xy is a.xy
     moved = FIVE_POSITIONS[:-1] + [(55.0, 45.5)]
     for positions, bs in ((moved, (50.0, 50.0)), (FIVE_POSITIONS, (0.0, 50.0))):
-        net = Network(positions, bs, ones, a.table)
+        net = Network(positions, bs, ones, (a.xy, a.rows))
         fresh = Network(positions, bs, ones)
-        assert net.table[1] is not a.table[1] and net.table[1] == fresh.table[1]
+        assert net.rows is not a.rows and net.rows == fresh.rows
 
 
 def test_table_reused_across_runs_of_one_placement():
@@ -597,16 +597,16 @@ def test_table_reused_across_runs_of_one_placement():
     first = Simulation(cfg)
     first.run()
     assert first.net.alive_count() < cfg.n  # the run killed sensors
-    assert first.net.table[1] == Simulation(cfg).net.table[1]  # and left the table as built
-    second = Simulation(replace(cfg, protocol="leach"), table=first.net.table)
-    assert second.net.table[1] is first.net.table[1]
+    assert first.net.rows == Simulation(cfg).net.rows  # and left the table as built
+    second = Simulation(replace(cfg, protocol="leach"), table=(first.net.xy, first.net.rows))
+    assert second.net.rows is first.net.rows
     assert second.net.alive_count() == cfg.n  # per-run state is never shared
     assert second.net._farthest is not first.net._farthest
     assert second.run() == Simulation(replace(cfg, protocol="leach")).run()
     for other in (replace(cfg, seed=4), replace(cfg, bs_pos=(0.0, 0.0))):
-        sim = Simulation(other, table=first.net.table)
-        assert sim.net.table[1] is not first.net.table[1]
-        assert sim.net.table[1] == Simulation(other).net.table[1]
+        sim = Simulation(other, table=(first.net.xy, first.net.rows))
+        assert sim.net.rows is not first.net.rows
+        assert sim.net.rows == Simulation(other).net.rows
 
 
 @pytest.mark.parametrize("protocol", ["leach", "least"])
@@ -616,9 +616,9 @@ def test_run_above_the_table_size_equals_a_table_run(protocol):
     cfg = SimConfig(n=core._TABLE_MAX + 1, seed=6, initial_energy=0.001,
                     traffic_fraction=0.5, protocol=protocol, max_rounds=20)
     on_demand = Simulation(cfg)
-    xy = on_demand.net.table[0]
+    xy = on_demand.net.xy
     table = Simulation(cfg, table=(xy, [[math.dist(p, q) for q in xy] for p in xy]))
-    assert type(on_demand.net.table[1][0]) is not list and type(table.net.table[1][0]) is list
+    assert type(on_demand.net.rows[0]) is not list and type(table.net.rows[0]) is list
     assert on_demand.run() == table.run()
     assert on_demand.net.alive_count() < cfg.n  # sensors died, so rescans ran
     assert on_demand.last_outcome.messages == table.last_outcome.messages
