@@ -12,6 +12,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 from concurrent import futures
 from dataclasses import replace
@@ -99,8 +100,10 @@ def parse_config(text: str) -> SimConfig:
             protocol=v["protocol"], seed=v["seed"], traffic_fraction=v["traffic_fraction"],
             packets_per_sender=v["packets_per_sender"], max_rounds=v["max_rounds"],
         )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    except ValueError as exc:  # name keys where the message, before its value, names fields
+        head, colon, tail = str(exc).partition(":")
+        head = re.sub(r"\w+", lambda word: _KEY_OF.get(word[0], word[0]), head)
+        raise ConfigError(head + colon + tail) from None
 
 
 def load_config(path) -> SimConfig:
@@ -125,6 +128,7 @@ def _config_values(config: SimConfig) -> dict:
 
 
 _DEFAULTS = _config_values(SimConfig())
+_KEY_OF = {"initial_energy": "initial_energy_j", "rx_cost": "rx_cost_j", "bs_pos": "(bs_x, bs_y)"}
 
 
 def format_config(config: SimConfig) -> str:

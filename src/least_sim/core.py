@@ -31,7 +31,6 @@ _LOW_WORDS = _MASK64 * _ONES
 _BIG_ENDIAN = sys.byteorder == "big"
 
 _SLACK = 1.0 + 2.0**-40  # far wider than the ulp (2**-52) math.dist may be off by
-_SCAN_MAX = 63  # nearest scans candidate lists up to this long: at n=100 it is faster
 _TABLE_MAX = 700  # above this many sensors rows compute distances on demand (README, "Why 700")
 
 
@@ -180,9 +179,8 @@ class Network:
     Up to ``_TABLE_MAX`` sensors the pairwise distances are precomputed
     once into list rows, (n+1)^2 floats at about 32 bytes each (15 MiB at
     n=700). Above it each row is a ``_Row`` that computes the same
-    ``math.dist`` when read, and memory grows as n (README, "Determinism");
-    over such rows the x-walks of ``nearest`` and ``farthest_alive_distance``
-    call ``math.dist`` on the points instead of reading the row.
+    ``math.dist`` when read, and memory grows as n (README, "Determinism").
+    The searches scan list rows; over ``_Row``s they walk the points by x.
     ``xy`` holds the points by id and ``rows[a][b]`` is the distance between
     ids a and b. An earlier network's ``(xy, rows)``, passed as ``table``, is
     reused when the points are equal: the rows are never written.
@@ -224,16 +222,15 @@ class Network:
     def nearest(self, candidates: list[int], sources: list[int]) -> list[tuple[int, float]]:
         """The nearest candidate to each source, as ``(id, distance)`` pairs.
 
-        ``candidates`` come in ascending id order; a tie goes to the smaller
-        id. Short lists are scanned in that order; from longer ones sorted by
-        x, each source walks outward until both x-gaps pass ``best * _SLACK``.
-        The walk reads list rows, and calls ``math.dist`` in place of a ``_Row``."""
+        ``candidates`` come in ascending id order; a tie goes to the smaller id.
+        List rows are scanned in that order. Over ``_Row``s each source walks the
+        candidates by x, outward until both x-gaps pass ``best * _SLACK``."""
         if not sources:
             return []
         if not candidates:
             raise ValueError("empty candidate set")
         out, xy, rows = [], self.xy, self.rows
-        if len(candidates) <= _SCAN_MAX:
+        if type(rows[0]) is list:
             first, rest = candidates[0], candidates[1:]
             for src in sources:
                 row = rows[src]
@@ -247,9 +244,9 @@ class Network:
         order = [0, *sorted(candidates, key=xy.__getitem__), 0]
         pts = [xy[c] for c in order]  # the points of order, index for index
         xs = [-math.inf, *[x for x, _ in pts[1:-1]], math.inf]  # ends no walk passes
-        direct, dist = type(rows[0]) is _Row, math.dist  # a _Row's call, without its __getitem__
+        dist = math.dist  # a _Row's call, without its __getitem__
         for src in sources:
-            row, p, x = rows[src], xy[src], xy[src][0]
+            p, x = xy[src], xy[src][0]
             hi = bisect(xs, x)
             lo, gap_lo, gap_hi = hi - 1, x - xs[hi - 1], xs[hi] - x
             target, best, reach = 0, math.inf, math.inf
@@ -265,7 +262,7 @@ class Network:
                     i, hi = hi, hi + 1
                     gap_hi = xs[hi] - x
                 cand = order[i]
-                d = dist(p, pts[i]) if direct else row[cand]
+                d = dist(p, pts[i])
                 if d < best or d == best and cand < target:
                     target, best, reach = cand, d, d * _SLACK
             out.append((target, best))
@@ -287,17 +284,16 @@ class Network:
 
         Cached per source: alive sets only shrink, so the farthest sensor
         stays the farthest while it lives, and the float is the same. A rescan
-        scans the alive sensors in a network with a table, and otherwise walks
-        them by x from both ends inward (README, "Determinism"). The walk
-        reads list rows, and calls ``math.dist`` in place of a ``_Row``."""
+        scans list rows, and over ``_Row``s walks the alive sensors by x from
+        both ends inward (README, "Determinism")."""
         row, far = self.rows[from_id], self._farthest[from_id]
         if far is not None and self.energy[far] > 0:
             return row[far]
-        if self.n <= _TABLE_MAX:  # a table row reads fast enough that the scan wins
+        if type(row) is list:
             best, far = self.farthest(from_id, self._alive_ids)
         else:
             best, far = 0.0, None
-            xy, direct, dist = self.xy, type(row) is _Row, math.dist
+            xy, dist = self.xy, math.dist
             if self._by_x is None:
                 ys = [y for _, y in xy]
                 self._by_x = sorted(self._alive_ids, key=xy.__getitem__), min(ys), max(ys)
@@ -312,7 +308,7 @@ class Network:
                     i, gap, hi = by_x[hi], gap_hi, hi - 1
                 if math.hypot(gap, y_gap) * _SLACK < best:
                     break
-                d = dist(p, xy[i]) if direct else row[i]
+                d = dist(p, xy[i])
                 if d > best:
                     best, far = d, i
         self._farthest[from_id] = far

@@ -57,6 +57,12 @@ def test_parse_rejects_unknown_key():
         parse_config("bogus = 3\n")
 
 
+def test_parse_names_the_key_and_keeps_the_value():
+    # only the words before the message's first colon are field names to rewrite
+    with pytest.raises(ConfigError, match=r"^protocol must be one of .*: 'rx_cost'$"):
+        parse_config("protocol = rx_cost\n")
+
+
 def test_parse_rejects_out_of_range_probability():
     with pytest.raises(ConfigError, match=r"p_ch out of \[0,1\]"):
         parse_config("p_ch = 1.5\n")
@@ -312,8 +318,8 @@ def test_main_non_finite_value_exit_one(tmp_path, capsys, key, raw):
 @pytest.mark.parametrize("args, key", [
     *[(["simulate", "--config", line], key) for line, key in [
         ("area_w = 0", "area_w"), ("area_h = -5", "area_h"),
-        ("epsilon_amp = -1", "epsilon_amp"), ("rx_cost_j = -1e-6", "rx_cost"),
-        ("initial_energy_j = -1", "initial_energy"), ("n = 0", "n"), ("n = abc", "n"),
+        ("epsilon_amp = -1", "epsilon_amp"), ("rx_cost_j = -1e-6", "rx_cost_j"),
+        ("initial_energy_j = -1", "initial_energy_j"), ("n = 0", "n"), ("n = abc", "n"),
         ("p_ch = x", "p_ch"), ("max_rounds = 0", "max_rounds"),
         ("packets_per_sender = -1", "packets_per_sender"),
         ("traffic_fraction = 2", "traffic_fraction"), ("protocol = LEACH", "protocol"),
@@ -325,13 +331,20 @@ def test_main_non_finite_value_exit_one(tmp_path, capsys, key, raw):
     (["sweep", "--p-hn", "-0.1"], "p_hn"),
     (["simulate", "--config", "n = 5\narea_w = 1e308\narea_h = 1e308"], "area_w"),
     (["simulate", "--config", "packets_per_sender = 1" + "0" * 400], "packets_per_sender"),
+    # the config's own errors name fields (initial_energy, rx_cost, bs_pos): the CLI names keys
+    *[(["analyze", "--config", line], key) for line, key in [
+        ("initial_energy_j = -1", "initial_energy_j"), ("rx_cost_j = -1", "rx_cost_j"),
+        ("bs_x = 1e200", "bs_x"), ("bs_y = -1e200", "bs_y"),
+    ]],
 ])
 def test_main_rejection_names_the_key(tmp_path, capsys, args, key):
     if args[1] == "--config":  # the config line goes into a file
         bad = tmp_path / "bad.cfg"
         bad.write_text(args[2] + "\n")
         args = [args[0], "--config", str(bad)]
-    code = main([*args, "--out", str(tmp_path / "o")])
+    if args[0] != "analyze":
+        args = [*args, "--out", str(tmp_path / "o")]
+    code = main(args)
     assert code == 1
     err = capsys.readouterr().err
     assert re.search(rf"\b{re.escape(key)}\b", err), err

@@ -1,6 +1,7 @@
 """Geometry, statistics, and random-stream contracts."""
 
 import builtins
+import contextlib
 import math
 import random
 import tracemalloc
@@ -525,26 +526,32 @@ bs_spots = st.sampled_from([(50.0, 50.0), (0.0, 100.0), (-40.0, 50.0), (150.0, -
 
 def grid_field(data, max_n):
     """1..max_n sensor positions on ``grid``, a base station spot, and
-    whether the rows should read an ulp low (see ``build_grid_net``)."""
+    whether distances should read an ulp low (see ``both_row_kinds``)."""
     n = data.draw(st.integers(1, max_n))
     positions = [(data.draw(grid), data.draw(grid)) for _ in range(n)]
     return positions, data.draw(bs_spots), data.draw(st.booleans())
 
 
-def build_grid_net(positions, bs, ulp_low):
-    """A ``Network`` whose rows give either math.dist's distances or every
-    one an ulp lower, as a rounding within the ulp that math.dist promises
-    may give."""
-    net = make_net(positions, bs=bs)
-    if ulp_low:
-        xy = net.xy
-        rows = [[math.nextafter(math.dist(p, q), 0.0) for q in xy] for p in xy]
-        net = Network(positions, bs, [1.0] * len(positions), (xy, rows))
-    return net
+def on_demand_net(positions, bs=(50.0, 50.0)):
+    """A ``Network`` whose rows compute distances on demand: the size
+    constant is patched to 0 while it is built, and only then."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(core, "_TABLE_MAX", 0)
+        return make_net(positions, bs=bs)
 
 
-def grid_net(data, max_n):
-    return build_grid_net(*grid_field(data, max_n))
+@contextlib.contextmanager
+def both_row_kinds(positions, bs, ulp_low):
+    """The field's ``Network`` with a table, and one with rows that compute
+    on demand. With ``ulp_low`` math.dist gives every distance an ulp low,
+    as a rounding within the ulp it promises may give, while both are built
+    and used: the table holds those floats, and the rows and the walks over
+    them compute them."""
+    dist = math.dist
+    with pytest.MonkeyPatch.context() as mp:
+        if ulp_low:
+            mp.setattr(math, "dist", lambda p, q: math.nextafter(dist(p, q), 0.0))
+        yield make_net(positions, bs=bs), on_demand_net(positions, bs)
 
 
 def scan_nearest(net, candidates, sources):
@@ -561,34 +568,34 @@ def scan_nearest(net, candidates, sources):
 
 @settings(max_examples=200, deadline=None)
 @given(st.data())
-def test_nearest_equals_scan_on_both_sides_of_the_size_switch(data):
-    net = grid_net(data, 100)
-    # the walk runs from 64 candidates on
-    size = data.draw(st.integers(min(net.n, 64) if data.draw(st.booleans()) else 1, net.n))
-    candidates = sorted(data.draw(st.permutations(range(1, net.n + 1)))[:size])
-    sources = data.draw(st.lists(st.integers(0, net.n), max_size=20))  # 0: the base station
-    assert net.nearest(candidates, sources) == scan_nearest(net, candidates, sources)
+def test_nearest_equals_scan_over_tables_and_on_demand_rows(data):
+    """A table is scanned and on-demand rows are walked by x; both give the scan's answer."""
+    positions, bs, ulp_low = grid_field(data, 100)
+    n = len(positions)
+    size = data.draw(st.integers(1, n))
+    candidates = sorted(data.draw(st.permutations(range(1, n + 1)))[:size])
+    sources = data.draw(st.lists(st.integers(0, n), max_size=20))  # 0: the base station
+    with both_row_kinds(positions, bs, ulp_low) as nets:
+        for net in nets:
+            assert net.nearest(candidates, sources) == scan_nearest(net, candidates, sources)
 
 
 def test_nearest_walk_gives_ties_to_the_smaller_id():
-    """Past the size switch, where candidates are walked by x from the
+    """Over on-demand rows, where candidates are walked by x from the
     source, the smaller id still wins a tie met second: at distance 0 (two
     sensors on the base station, met larger id first), and at an x-gap equal
     to a distance already found, also with every distance an ulp low."""
-    fill = [(100.0, 1.0 * k) for k in range(62)]  # sensors 3..64, 50 m off in x
-    positions = [(25.0, 50.0), (50.0, 75.0), *fill, (50.0, 50.0), (50.0, 50.0)]
-    exact = make_net(positions)  # the base station at (50, 50)
-    low = [[math.nextafter(d, 0.0) for d in row] for row in exact.rows]
-    for net in (exact, Network(positions, (50.0, 50.0), [1.0] * 66, (exact.xy, low))):
-        assert net.rows[0][1] == net.rows[0][2]
-        assert net.nearest(list(range(1, 65)), [0]) == [(1, net.rows[0][1])]
-        assert net.nearest(list(range(1, 67)), [0]) == [(65, 0.0)]
+    positions = [(25.0, 50.0), (50.0, 75.0), (50.0, 50.0), (50.0, 50.0)]
+    for ulp_low in (False, True):
+        with both_row_kinds(positions, (50.0, 50.0), ulp_low) as (_, net):
+            assert net.rows[0][1] == net.rows[0][2]
+            assert net.nearest([1, 2], [0]) == [(1, net.rows[0][1])]
+            assert net.nearest([1, 2, 3, 4], [0]) == [(3, 0.0)]
 
 
-def test_farthest_alive_rescan_skips_the_dead(monkeypatch):
-    for table_max in (core._TABLE_MAX, 0):  # the scan, then the walk
-        monkeypatch.setattr(core, "_TABLE_MAX", table_max)
-        net = make_net([(0.0, 50.0), (90.0, 50.0), (60.0, 50.0)])  # the base station at (50, 50)
+def test_farthest_alive_rescan_skips_the_dead():
+    positions = [(0.0, 50.0), (90.0, 50.0), (60.0, 50.0)]  # the base station at (50, 50)
+    for net in (make_net(positions), on_demand_net(positions)):  # the scan, then the walk
         assert net.farthest_alive_distance(0) == 50.0
         charge(net, 1, 2.0)
         assert net.farthest_alive_distance(0) == 40.0
@@ -597,14 +604,12 @@ def test_farthest_alive_rescan_skips_the_dead(monkeypatch):
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_farthest_alive_equals_brute_force_through_kills(data):
-    """The per-source cache and the rescan, scanned and then (with the size
-    constant patched to 0) walked over the same field, answer exactly like a
-    brute-force scan, while deaths come through ``charge`` between queries."""
-    field, seed = grid_field(data, 60), data.draw(st.integers(0, 2**32 - 1))
-    for table_max in (core._TABLE_MAX, 0):  # the scan, then the walk
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(core, "_TABLE_MAX", table_max)
-            net = build_grid_net(*field)
+    """The per-source cache and the rescan, scanned over the field's table
+    and walked over its on-demand rows, answer exactly like a brute-force
+    scan, while deaths come through ``charge`` between queries."""
+    (positions, bs, ulp_low), seed = grid_field(data, 60), data.draw(st.integers(0, 2**32 - 1))
+    with both_row_kinds(positions, bs, ulp_low) as nets:
+        for net in nets:
             ids = list(range(0, net.n + 1))  # the base station too
             rng = random.Random(seed)
 
@@ -624,17 +629,14 @@ def test_farthest_alive_equals_brute_force_through_kills(data):
 @settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_on_demand_rows_answer_like_table_rows_through_kills(data):
-    """With the size constant patched to 0, a field builds rows that compute
-    distances on demand, and its rescans walk. Every search over them gives
-    the floats and ids it gives over the same field's table, as sensors die."""
+    """Over rows that compute distances on demand ``nearest`` and the
+    rescans walk, and every search gives the floats and ids it gives over
+    the same field's table, as sensors die."""
     n = data.draw(st.integers(1, 100))
     positions = [(data.draw(grid), data.draw(grid)) for _ in range(n)]
     bs = data.draw(bs_spots)
     rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))  # st.randoms() took most of the time
-    table = make_net(positions, bs=bs)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(core, "_TABLE_MAX", 0)
-        rows = make_net(positions, bs=bs)
+    table, rows = make_net(positions, bs=bs), on_demand_net(positions, bs)
     assert type(table.rows[0]) is list and type(rows.rows[0]) is not list
     ids = list(range(n + 1))
     assert [[rows.rows[a][b] for b in ids] for a in ids] == table.rows
@@ -646,39 +648,33 @@ def test_on_demand_rows_answer_like_table_rows_through_kills(data):
     while table.alive_count():
         alive = table.alive_ids()
         assert rows.alive_ids() == alive
-        size = rng.randint(min(64, len(alive)) if rng.random() < 0.5 else 1, len(alive))
-        candidates = sorted(rng.sample(alive, size))  # 64 or more: nearest walks
+        candidates = sorted(rng.sample(alive, rng.randint(1, len(alive))))
         sources = [rng.randint(0, n) for _ in range(rng.randint(0, 10))]
         rng.shuffle(ids)
-        want = answers(table, candidates, sources, ids)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(core, "_TABLE_MAX", 0)
-            assert answers(rows, candidates, sources, ids) == want
+        assert answers(rows, candidates, sources, ids) == answers(table, candidates, sources, ids)
         for victim in rng.sample(alive, min(rng.randint(1, 8), len(alive))):
             charge(table, victim, 2.0)
             charge(rows, victim, 2.0)
 
 
 def test_walks_over_on_demand_rows_make_no_row_object_call(monkeypatch):
-    """Over rows that compute on demand, ``nearest``'s walk and a
-    ``farthest_alive_distance`` rescan call ``math.dist`` on the points
-    themselves: no row object is read, and the answers are the table's."""
+    """Over rows that compute on demand, ``nearest``, for long and short
+    candidate lists, and a ``farthest_alive_distance`` rescan walk, calling
+    ``math.dist`` on the points themselves: no row object is read, and the
+    answers are the table's."""
     positions = place_nodes(SimConfig(n=200), RandomStream(5))
-    table = make_net(positions)
-    monkeypatch.setattr(core, "_TABLE_MAX", 0)
-    rows = make_net(positions)
+    table, rows = make_net(positions), on_demand_net(positions)
     reads = []
     row_read = core._Row.__getitem__
     monkeypatch.setattr(core._Row, "__getitem__", lambda row, j: reads.append(j) or row_read(row, j))
     assert rows.rows[1][2] == table.rows[1][2] and reads == [2]  # the counter counts
     reads.clear()
-    candidates, sources = list(range(1, 201, 3)), [0, *range(2, 201, 7)]
-    assert len(candidates) >= 64  # nearest walks
+    lists, sources = [list(range(1, 201, 3)), [7, 9]], [0, *range(2, 201, 7)]
     ids = [0, *range(1, 201, 11)]
-    got = rows.nearest(candidates, sources), [rows.farthest_alive_distance(i) for i in ids]
+    got = [rows.nearest(c, sources) for c in lists], [rows.farthest_alive_distance(i) for i in ids]
     assert reads == []
-    monkeypatch.setattr(core, "_TABLE_MAX", 700)
-    assert got == (table.nearest(candidates, sources), [table.farthest_alive_distance(i) for i in ids])
+    assert got == ([table.nearest(c, sources) for c in lists],
+                   [table.farthest_alive_distance(i) for i in ids])
 
 
 def test_network_above_the_table_size_builds_no_table():

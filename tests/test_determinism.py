@@ -1,7 +1,8 @@
 """What the bit-exact digests rest on, apart from the package's own order of
 operations: the float kernels of the Python release, pinned on known answers,
-and a lint that keeps ``src/`` off the constructs that would make its bits
-depend on the release, the process or an unseeded generator.
+a lint that keeps ``src/`` off the constructs that would make its bits
+depend on the release, the process or an unseeded generator, and the
+README's command that checks the corpus on an interpreter without pytest.
 
 On another interpreter a changed kernel fails here by name, before the 48
 opaque digests of ``golden/bits.json``. The answers were made on Python 3.11.7.
@@ -9,6 +10,10 @@ opaque digests of ``golden/bits.json``. The answers were made on Python 3.11.7.
 
 import ast
 import math
+import os
+import shlex
+import subprocess
+import sys
 from decimal import Decimal, localcontext
 from pathlib import Path
 from statistics import median
@@ -20,7 +25,8 @@ from least_sim.cli import parse_config
 from least_sim.simulator import fmt_float
 from test_golden import PROFILES
 
-SRC = Path(__file__).parent.parent / "src" / "least_sim"
+ROOT = Path(__file__).parent.parent
+SRC = ROOT / "src" / "least_sim"
 
 # -- lint -----------------------------------------------------------------------
 
@@ -42,10 +48,11 @@ ALLOWED = {
 
 
 class _Lint(ast.NodeVisitor):
-    """Each forbidden construct in one module, with the name it sits in."""
+    """Each forbidden construct in one module, with the name it sits in; a
+    forbidden name is one of ``names``."""
 
-    def __init__(self):
-        self.where, self.found = [], []
+    def __init__(self, names=FORBIDDEN_NAMES):
+        self.names, self.where, self.found = names, [], []
 
     def _scoped(self, name, node):
         self.where.append(name)
@@ -66,7 +73,7 @@ class _Lint(ast.NodeVisitor):
         self.found.append((where, what, node.lineno))
 
     def visit_Name(self, node):
-        if node.id in FORBIDDEN_NAMES:
+        if node.id in self.names:
             self._add(node, node.id)
 
     def visit_Attribute(self, node):
@@ -88,8 +95,8 @@ class _Lint(ast.NodeVisitor):
                 self._add(node, f"{node.module}.{alias.name}")
 
 
-def lint(source: str) -> list[tuple[str, str, int]]:
-    visitor = _Lint()
+def lint(source: str, names=FORBIDDEN_NAMES) -> list[tuple[str, str, int]]:
+    visitor = _Lint(names)
     visitor.visit(ast.parse(source))
     return visitor.found
 
@@ -105,6 +112,14 @@ def test_src_uses_no_release_dependent_construct():
                 found.append(f"{path.name}:{line} {what} in {where}")
     assert found == []
     assert allowed_hits == set(ALLOWED)  # no entry outlives its use
+
+
+def test_only_the_network_constructor_reads_the_table_size():
+    """Whether a network holds a table is decided once, when its rows are
+    built; every search reads it off the row kind (README, "Determinism")."""
+    found = {(path.name, where) for path in sorted(SRC.glob("*.py"))
+             for where, what, _ in lint(path.read_text(), {"_TABLE_MAX"}) if what == "_TABLE_MAX"}
+    assert found == {("core.py", "_TABLE_MAX"), ("core.py", "Network.__init__")}  # set, then read
 
 
 @pytest.mark.parametrize("source, what", [
@@ -187,3 +202,21 @@ def test_median_of_an_even_count_halves_the_middle_sum(values, want):
 ])
 def test_nine_digit_format_near_ties(x, want):
     assert format(x, ".9g") == fmt_float(x) == want
+
+
+# -- the stdlib-only golden command ---------------------------------------------
+
+def test_readme_golden_command_runs_without_the_test_dependencies():
+    """README "Determinism" checks the corpus on other interpreters with one
+    command, which imports ``test_golden.py`` and ``checkpoint.py``; it must
+    run where pytest, hypothesis and numpy are not installed."""
+    line, = [line for line in (ROOT / "README.md").read_text().splitlines()
+             if "import test_golden" in line]
+    env_path, python, flag, code = shlex.split(line)
+    assert (env_path, python, flag) == ("PYTHONPATH=src:tests", "python", "-c")
+    blocked = "import sys; sys.modules.update(dict.fromkeys(['pytest', 'hypothesis', 'numpy'])); "
+    env = {k: v for k, v in os.environ.items() if k != "LEAST_SIM_THREADS"}
+    env["PYTHONPATH"] = os.pathsep.join(["src", "tests"])
+    done = subprocess.run([sys.executable, "-c", blocked + code], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert (done.returncode, done.stdout) == (0, "True True\n"), done.stderr
