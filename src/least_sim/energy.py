@@ -6,7 +6,7 @@ import math
 from dataclasses import dataclass
 
 from .core import BS_ID, Network
-from .protocols import MESSAGE_KINDS, check_message
+from .protocols import check_message
 
 
 @dataclass(frozen=True)
@@ -39,14 +39,6 @@ class EnergyTally:
         self.round = 0.0
         self.total = 0.0
 
-    def add(self, amounts) -> None:
-        """Add each amount in turn: float sums depend on their order."""
-        part, whole = self.round, self.total
-        for amount in amounts:
-            part += amount
-            whole += amount
-        self.round, self.total = part, whole
-
 
 def apply_messages(net: Network, messages, params: EnergyParams,
                    tally: EnergyTally | None = None) -> None:
@@ -54,40 +46,48 @@ def apply_messages(net: Network, messages, params: EnergyParams,
 
     Each ``(kind, sender, tx_distance, packets, receiver)`` record must pass
     ``check_message`` and name sensors 1..n or the base station (0), or None
-    as a broadcast's receiver. Payers are charged inline, in log order, and
-    clamped: a node keeps ``energy - amount`` while the amount is smaller,
-    and otherwise spends what it had left and dies. Base-station sends are
-    free (it is mains powered). A message whose sender already died earlier
-    in the log is skipped: it was never transmitted. When reception pricing
-    is on, the addressee pays rx_cost per packet, and a broadcast (receiver
-    None) charges every other alive sensor within tx_distance.
+    as a broadcast's receiver; a bad record raises after those before it are
+    charged. Payers are charged in log order and clamped: a node keeps
+    ``energy - amount`` while the amount is smaller, and otherwise spends
+    what it had left and dies. Base-station sends are free (it is mains
+    powered). A message whose sender already died earlier in the log is
+    skipped: it was never transmitted. When reception pricing is on, the
+    addressee pays rx_cost per packet, and a broadcast (receiver None)
+    charges every other alive sensor within tx_distance.
     """
-    eps, rx_cost, inf = params.epsilon_amp, params.rx_cost, math.inf
+    tally, n = EnergyTally() if tally is None else tally, net.n
+    for record in messages:
+        kind, sender, d, packets, receiver = record
+        check_message(kind, d, packets)
+        if receiver is not None and not 0 <= receiver <= n:
+            raise KeyError(f"unknown sensor id: {receiver}")
+        if not 0 <= sender <= n:
+            raise KeyError(f"unknown sensor id: {sender}")
+        _charge_log(net, (record,), params, tally)
+
+
+def _charge_log(net: Network, messages, params: EnergyParams, tally: EnergyTally) -> None:
+    """``apply_messages`` without its checks, for a log valid by construction.
+    Each spend is added to the tally's sums as it is charged, in charge order
+    (float sums depend on their order), and they reach ``tally`` on an error too."""
+    eps, rx_cost = params.epsilon_amp, params.rx_cost
     pay_rx = rx_cost > 0.0
-    energy, mark_dead, n, rows = net.energy, net.mark_dead, net.n, net.rows
-    spent = []  # in charge order; tallied even if a later record is rejected
-    pay = spent.append
+    energy, mark_dead, rows = net.energy, net.mark_dead, net.rows
+    part, whole = tally.round, tally.total
     try:
-        for kind, sender, d, packets, receiver in messages:
-            if (kind not in MESSAGE_KINDS or not 0.0 <= d < inf
-                    or type(packets) is not int or packets < 0):
-                check_message(kind, d, packets)  # raises, naming what is wrong
-            if receiver is not None and not 0 <= receiver <= n:
-                raise KeyError(f"unknown sensor id: {receiver}")
+        for _, sender, d, packets, receiver in messages:
             if sender != BS_ID:
-                if not 0 < sender <= n:
-                    raise KeyError(f"unknown sensor id: {sender}")
                 left = energy[sender]
                 if not left > 0:
                     continue
                 amount = eps * d * d * packets
                 if amount < left:
                     energy[sender] = left - amount
-                    pay(amount)
+                    part, whole = part + amount, whole + amount
                 else:  # dies transmitting: spends what it had left
                     energy[sender] = 0.0
                     mark_dead(sender)
-                    pay(left)
+                    part, whole = part + left, whole + left
             if pay_rx and packets > 0:
                 if receiver is None:  # listed first: only paying kills a payer
                     row = rows[sender]
@@ -99,11 +99,10 @@ def apply_messages(net: Network, messages, params: EnergyParams,
                     left = energy[nid]
                     if amount < left:
                         energy[nid] = left - amount
-                        pay(amount)
+                        part, whole = part + amount, whole + amount
                     else:  # dies receiving: spends what it had left
                         energy[nid] = 0.0
                         mark_dead(nid)
-                        pay(left)
+                        part, whole = part + left, whole + left
     finally:
-        if tally is not None:
-            tally.add(spent)
+        tally.round, tally.total = part, whole

@@ -15,7 +15,7 @@ import sys
 from dataclasses import dataclass
 
 from .core import BS_ID, Network, RandomStream, check_span, finite_xy
-from .energy import EnergyParams, EnergyTally, apply_messages
+from .energy import EnergyParams, EnergyTally, _charge_log
 from .protocols import (
     ProtocolParams,
     ProtocolStallError,
@@ -185,8 +185,8 @@ class Simulation:
 
     def _steady_phase(self) -> tuple[int, int]:
         """Senders' packets climb the map, each forwarder charged inline in
-        sender-then-hop order and clamped as ``apply_messages`` clamps a
-        payer: one left at exactly zero dies but still sends the packet on."""
+        sender-then-hop order, tallied as charged and clamped as ``_charge_log``
+        clamps a payer: one left at exactly zero dies but still sends it on."""
         packets = self.config.packets_per_sender
         senders = self._select_senders(self.net.alive_ids())
         if not senders or packets == 0:
@@ -194,7 +194,7 @@ class Simulation:
         eps, energy, rows = self.config.energy.epsilon_amp, self.net.energy, self.net.rows
         parent = self.tree.parent  # read in place: the walk never changes the map
         hops = range(len(parent))  # more passes than any acyclic path has hops
-        spent, delivered = [], 0  # spends in charge order, tallied even on an error
+        part, whole, delivered = self.steady.round, self.steady.total, 0  # stored even on an error
         try:
             for sender in senders:
                 if parent[sender] is None and energy[sender] > 0:
@@ -209,11 +209,11 @@ class Simulation:
                     amount = eps * d * d * packets
                     if amount < left:
                         energy[fwd] = left - amount
-                        spent.append(amount)
+                        part, whole = part + amount, whole + amount
                     else:  # dies transmitting: spends what it had left
                         energy[fwd] = 0.0
                         self.net.mark_dead(fwd)
-                        spent.append(left)
+                        part, whole = part + left, whole + left
                         if left < amount:
                             break  # died mid-transmission: packet lost
                     if nxt == BS_ID:
@@ -223,7 +223,7 @@ class Simulation:
                 else:
                     raise RuntimeError(f"parent cycle reached from node {sender}")
         finally:
-            self.steady.add(spent)
+            self.steady.round, self.steady.total = part, whole
         return delivered, packets * len(senders)
 
     def run_round(self) -> RoundMetrics:
@@ -233,7 +233,7 @@ class Simulation:
         self.setup.round = self.steady.round = 0.0
         self._prune_dead()
         outcome = self.last_outcome = self._run_setup()
-        apply_messages(self.net, outcome.messages, self.config.energy, self.setup)
+        _charge_log(self.net, outcome.messages, self.config.energy, self.setup)  # valid by construction
         width = len(self.tree.children[BS_ID])
         depth = self.tree.max_depth()
         delivered, attempted = self._steady_phase()

@@ -13,7 +13,8 @@ Message = namedtuple("Message", "kind sender tx_distance packets receiver")
 
 def checked(messages):
     """Setup's plain message records, each passed through ``check_message``
-    (the check ``apply_messages`` makes) and given field names."""
+    (the check the public ``apply_messages`` makes on each record before
+    charging it) and given field names."""
     out = [Message(*m) for m in messages]
     for m in out:
         check_message(m.kind, m.tx_distance, m.packets)
@@ -22,7 +23,7 @@ def checked(messages):
 
 def tx_cost(d, packets, params):
     """Energy to transmit ``packets`` over distance ``d``: the per-message price
-    that ``apply_messages`` and the steady phase compute inline."""
+    that ``energy._charge_log`` and the steady phase compute inline."""
     if d < 0:
         raise ValueError(f"negative distance: {d}")
     if packets < 0:
@@ -36,7 +37,7 @@ class DeadNodeError(RuntimeError):
 
 def charge(net, node_id, amount):
     """Deduct up to ``amount`` from sensor ``node_id``, killing it at zero: the
-    reference clamp that ``apply_messages`` and the steady phase write inline.
+    reference clamp that ``energy._charge_log`` and the steady phase write inline.
 
     Returns what was actually spent (clamped at the remaining energy); a
     return value below ``amount`` means the sensor died mid-transmission.
@@ -53,6 +54,17 @@ def charge(net, node_id, amount):
     if left == 0.0:
         net.mark_dead(node_id)
     return spent
+
+
+def tally_add(tally, amounts):
+    """Add each amount in turn to ``tally.round`` and ``tally.total``: the
+    reference left fold that ``energy._charge_log`` and the steady phase
+    write inline, in charge order (float sums depend on their order)."""
+    part, whole = tally.round, tally.total
+    for amount in amounts:
+        part += amount
+        whole += amount
+    tally.round, tally.total = part, whole
 
 
 def hosts_of(outcome):

@@ -11,9 +11,10 @@ from least_sim import (
     apply_messages,
     leach_setup,
 )
+from least_sim.energy import _charge_log
 from least_sim.protocols import MESSAGE_KINDS
 
-from conftest import DeadNodeError, charge, checked, make_net, tx_cost
+from conftest import DeadNodeError, charge, checked, make_net, tally_add, tx_cost
 
 
 def test_tx_cost_formula():
@@ -174,14 +175,14 @@ def test_setup_message_is_received_when_its_sender_dies_sending_it():
 
 
 def test_ledger_setup_steady_split():
-    """Each phase's spends go to its own tally, which adds them to ``round`` and ``total``."""
+    """Each phase's spends go to its own tally, added to its ``round`` and ``total``."""
     setup, steady = EnergyTally(), EnergyTally()
-    setup.add([0.5])
-    steady.add([0.25, 0.125])
+    tally_add(setup, [0.5])
+    tally_add(steady, [0.25, 0.125])
     assert (setup.round, setup.total) == (0.5, 0.5)
     assert (steady.round, steady.total) == (0.375, 0.375)
     steady.round = 0.0  # a new round
-    steady.add([0.25])
+    tally_add(steady, [0.25])
     assert (steady.round, steady.total) == (0.25, 0.625)
     assert (setup.round, setup.total) == (0.5, 0.5)
 
@@ -198,15 +199,15 @@ def reference_apply(net, messages, params, tally):
         if sender != 0:
             if net.energy[sender] == 0.0:
                 continue
-            tally.add([charge(net, sender, eps * d * d * packets)])
+            tally_add(tally, [charge(net, sender, eps * d * d * packets)])
         if rx_cost > 0.0 and packets > 0:
             if receiver is not None:
                 if receiver != 0 and net.energy[receiver] > 0:
-                    tally.add([charge(net, receiver, rx_cost * packets)])
+                    tally_add(tally, [charge(net, receiver, rx_cost * packets)])
             else:
                 for nid in net.alive_ids():
                     if nid != sender and net.rows[sender][nid] <= d:
-                        tally.add([charge(net, nid, rx_cost * packets)])
+                        tally_add(tally, [charge(net, nid, rx_cost * packets)])
 
 
 @st.composite
@@ -229,24 +230,58 @@ def charging_cases(draw):
     return positions, energies, log, rx_cost
 
 
+def used_tally():
+    """A tally that already holds an earlier round's spend and this round's."""
+    tally = EnergyTally()
+    tally_add(tally, [3e-7])
+    tally.round = 0.0
+    tally_add(tally, [1e-7])
+    return tally
+
+
+def charged_state(net, tally):
+    """Everything charging may touch, for ``==`` comparison."""
+    ids = range(1, net.n + 1)
+    return ([net.energy[i] for i in ids], [net.energy[i] > 0 for i in ids], net.alive_ids(),
+            (tally.round, tally.total))
+
+
 @settings(max_examples=300, deadline=None)
 @given(charging_cases())
 def test_inline_charging_equals_charge_calls(case):
+    """The public entry point, which checks each record, and the unchecked
+    loop the simulator calls both equal a loop of ``charge`` calls."""
     positions, energies, log, rx_cost = case
     params = EnergyParams(epsilon_amp=2.0**-30, rx_cost=rx_cost)
-    got_net, want_net = make_net(positions, energies), make_net(positions, energies)
-    got_tally, want_tally = EnergyTally(), EnergyTally()
-    for tally in (got_tally, want_tally):
-        tally.add([3e-7])  # a tally that already holds an earlier round's spend
-        tally.round = 0.0
-        tally.add([1e-7])
-    apply_messages(got_net, log, params, got_tally)
+    want_net, want_tally = make_net(positions, energies), used_tally()
     reference_apply(want_net, log, params, want_tally)
-    ids = range(1, len(positions) + 1)
-    assert [got_net.energy[i] for i in ids] == [want_net.energy[i] for i in ids]
-    assert [got_net.energy[i] > 0 for i in ids] == [want_net.energy[i] > 0 for i in ids]
-    assert got_net.alive_ids() == want_net.alive_ids()
-    assert (got_tally.round, got_tally.total) == (want_tally.round, want_tally.total)
+    for apply in (apply_messages, _charge_log):
+        got_net, got_tally = make_net(positions, energies), used_tally()
+        apply(got_net, log, params, got_tally)
+        assert charged_state(got_net, got_tally) == charged_state(want_net, want_tally), apply
+
+
+BAD_RECORDS = [("relocate_join", 1, 1.0, 1, None), ("ch_announce", 1, -0.5, 1, None),
+               ("ch_announce", 1, float("nan"), 1, None), ("join_request", 1, 1.0, 1.5, 0),
+               ("join_request", 1, 1.0, -1, 0), ("join_request", 1, 1.0, 1, -1),
+               ("join_request", 0, 1.0, 1, 99), ("join_request", -1, 1.0, 1, 0),
+               ("ch_announce", 99, 1.0, 1, None)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(charging_cases(), st.sampled_from(BAD_RECORDS), st.data())
+def test_bad_record_raises_after_charging_the_records_before_it(case, bad, data):
+    """``apply_messages`` over a log whose record k is bad leaves the energies
+    and the tally that the unchecked loop leaves over the first k records."""
+    positions, energies, log, rx_cost = case
+    k = data.draw(st.integers(0, len(log)))
+    params = EnergyParams(epsilon_amp=2.0**-30, rx_cost=rx_cost)
+    got_net, want_net = make_net(positions, energies), make_net(positions, energies)
+    got_tally, want_tally = used_tally(), used_tally()
+    with pytest.raises((ValueError, KeyError)):
+        apply_messages(got_net, log[:k] + [bad] + log[k:], params, got_tally)
+    _charge_log(want_net, log[:k], params, want_tally)
+    assert charged_state(got_net, got_tally) == charged_state(want_net, want_tally)
 
 
 def test_apply_rejects_malformed_records():

@@ -24,7 +24,7 @@ from least_sim import core
 from least_sim.cli import parse_config, sweep_phn
 from least_sim.simulator import METRICS_HEADER, metrics_csv
 
-from conftest import FIVE_POSITIONS, charge, heirs_of, hosts_of, make_net, tx_cost
+from conftest import FIVE_POSITIONS, charge, checked, heirs_of, hosts_of, make_net, tally_add, tx_cost
 from tree_reference import attached, nodes, parent_map, path_to_root, tree_of, validate
 from trace_oracle import steady_trace
 
@@ -158,7 +158,7 @@ def reference_steady(sim):
                 break
             cost = tx_cost(net.rows[fwd][nxt], packets, cfg.energy)
             spent = charge(net, fwd, cost)
-            sim.steady.add([spent])
+            tally_add(sim.steady, [spent])
             if spent < cost:
                 break
         else:
@@ -346,11 +346,11 @@ def test_injected_network_must_match_config_n():
 
 
 @st.composite
-def dying_configs(draw):
+def dying_configs(draw, max_n=10):
     """Small fields on low batteries: sensors die sending setup messages, on
     their steady-phase hops and, with reception priced, on receiving."""
     return SimConfig(
-        n=draw(st.integers(1, 10)), protocol=draw(st.sampled_from(["leach", "least"])),
+        n=draw(st.integers(1, max_n)), protocol=draw(st.sampled_from(["leach", "least"])),
         seed=draw(st.integers(0, 999)),
         area_w=draw(st.sampled_from([30.0, 100.0])), area_h=draw(st.sampled_from([30.0, 100.0])),
         initial_energy=draw(st.sampled_from([2e-5, 2e-4, 1e-3])),
@@ -373,6 +373,20 @@ def test_alive_list_agrees_with_energy_through_whole_runs(cfg):
         assert all(e <= was for e, was in zip(net.energy, before))
         assert m.dead_count == cfg.n - len(net.alive_ids())
         before = list(net.energy)
+
+
+@settings(max_examples=200, deadline=None)
+@given(dying_configs(max_n=30))
+def test_every_charged_record_passes_the_boundary_checks(cfg):
+    """The simulator charges each round's setup log without checking it, so
+    every record it charges must pass the checks ``apply_messages`` makes:
+    ``check_message``, and a sender and a receiver (or None) in 0..n. The
+    runs go through deaths and, for the tree protocol, stalled rounds."""
+    sim, ids = Simulation(cfg), range(cfg.n + 1)
+    while sim.net.alive_count() and sim.round < cfg.max_rounds:
+        sim.run_round()
+        for m in checked(sim.last_outcome.messages):
+            assert m.sender in ids and (m.receiver is None or m.receiver in ids)
 
 
 def test_round_requires_alive_nodes():
