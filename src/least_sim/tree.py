@@ -10,8 +10,9 @@ class RoutingTree:
 
     Built from a parent list, which it keeps (not a copy): ``parent[i]`` is
     None while i is detached (and for the BS). ``children[i]`` is derived
-    from it, ascending, so iteration is deterministic; callers read both
-    lists in place. A detached node may still own a floating subtree.
+    from it: an ascending list, or for a leaf the one shared ``()``. Callers
+    read both in place and write no child entry. A detached node may still
+    own a floating subtree.
     Nothing checks the edges: the setups write only edges that hold by
     construction.
     """
@@ -23,12 +24,15 @@ class RoutingTree:
         self.derive_children()
 
     def derive_children(self) -> None:
-        """Rebuild every child list from ``parent`` in one pass over ids, so
-        each is ascending. No id, edge or cycle check."""
-        children = [[] for _ in self.parent]
+        """Rebuild every child entry from ``parent`` in one ascending pass over
+        ids; a leaf keeps the shared ``()``. No id, edge or cycle check."""
+        children = [()] * len(self.parent)
         for i, p in enumerate(self.parent):
             if p is not None:
-                children[p].append(i)
+                if children[p]:
+                    children[p].append(i)
+                else:
+                    children[p] = [i]
         self.children = children
 
     def pruned(self, alive) -> RoutingTree:

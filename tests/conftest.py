@@ -1,8 +1,9 @@
 from collections import namedtuple
 
 import pytest
+from hypothesis import strategies as st
 
-from least_sim import Network
+from least_sim import EnergyParams, Network, SimConfig
 from least_sim.protocols import HEIR_NOTIFY_PARENT, HN_ANNOUNCE_TO_BS, check_message
 
 from tree_reference import parent_map
@@ -107,3 +108,18 @@ FIVE_POSITIONS = [(10.0, 10.0), (20.0, 80.0), (80.0, 20.0), (90.0, 90.0), (55.0,
 @pytest.fixture
 def five_net():
     return make_net(FIVE_POSITIONS, energy=0.1)
+
+
+@st.composite
+def dying_configs(draw, max_n=10):
+    """Small fields on low batteries: sensors die sending setup messages, on
+    their steady-phase hops and, with reception priced, on receiving."""
+    return SimConfig(
+        n=draw(st.integers(1, max_n)), protocol=draw(st.sampled_from(["leach", "least"])),
+        seed=draw(st.integers(0, 999)),
+        area_w=draw(st.sampled_from([30.0, 100.0])), area_h=draw(st.sampled_from([30.0, 100.0])),
+        initial_energy=draw(st.sampled_from([2e-5, 2e-4, 1e-3])),
+        traffic_fraction=draw(st.sampled_from([0.0, 0.5, 1.0])),
+        energy=EnergyParams(rx_cost=draw(st.sampled_from([0.0, 1e-6, 2e-5]))),
+        max_rounds=80,
+    )

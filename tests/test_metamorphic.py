@@ -1,0 +1,58 @@
+"""Metamorphic relations over whole runs: changes to a config that must
+leave every float of a run as it was, checked with no reference model.
+
+Scaling by a power of two: multiply ``area_w``, ``area_h`` and ``bs_pos`` by
+2**k and ``epsilon_amp`` by 4**-k. Placement draws, every ``math.dist``, every
+distance comparison and every eps*d*d price scale exactly (no rounding
+changes while nothing overflows or turns subnormal), so every election,
+map, death and spend is the same float. The ``k`` drawn here lie in -8..8,
+which keeps the field's span far inside ``check_span`` and every distance
+and price far above the subnormals.
+"""
+
+from dataclasses import astuple, replace
+
+from hypothesis import given, settings, strategies as st
+
+from least_sim import EnergyParams, ProtocolParams, SimConfig, Simulation
+
+
+def hexed(values) -> list:
+    return [v.hex() if isinstance(v, float) else v for v in values]
+
+
+def run_state(config: SimConfig) -> list:
+    """Every round's ``RoundMetrics``, then the summary, the last map and the
+    end state of the run's stream and tallies; floats as ``float.hex``."""
+    sim = Simulation(config)
+    rows, summary = sim.run()
+    return [*map(hexed, map(astuple, rows)), hexed(astuple(summary)), sim.tree.parent,
+            sim.stream._state, sim.delivered_total, sim.setup.total.hex(), sim.steady.total.hex()]
+
+
+def scaled(config: SimConfig, k: int) -> SimConfig:
+    (x, y), s = config.bs_pos, 2.0 ** k
+    return replace(config, area_w=config.area_w * s, area_h=config.area_h * s, bs_pos=(x * s, y * s),
+                   energy=replace(config.energy, epsilon_amp=config.energy.epsilon_amp * 4.0 ** -k))
+
+
+@st.composite
+def small_configs(draw):
+    """Small fields run through deaths to extinction or a short cap."""
+    return SimConfig(
+        n=draw(st.integers(1, 40)), protocol=draw(st.sampled_from(["leach", "least"])),
+        seed=draw(st.integers(0, 999)),
+        area_w=draw(st.sampled_from([30.0, 100.0, 150.0])), area_h=draw(st.sampled_from([30.0, 100.0])),
+        bs_pos=draw(st.sampled_from([(50.0, 50.0), (0.0, 0.0), (50.0, 175.0)])),
+        initial_energy=draw(st.sampled_from([2e-4, 1e-3, 5e-3])),
+        traffic_fraction=draw(st.sampled_from([0.0, 0.3, 0.5, 1.0])),
+        params=ProtocolParams(hn_window=draw(st.sampled_from([None, 0, 1, 3]))),
+        energy=EnergyParams(rx_cost=draw(st.sampled_from([0.0, 1e-6, 1e-5]))),
+        max_rounds=300,
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_configs(), st.integers(-8, 8).filter(bool))
+def test_power_of_two_scaling_leaves_every_run_bit_for_bit(config, k):
+    assert run_state(scaled(config, k)) == run_state(config)

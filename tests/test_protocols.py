@@ -588,7 +588,7 @@ def as_lists(ref: DictRoutingTree, n: int):
 def assert_same_map(tree, ref, alive_ids, whole):
     """Equal lists, and the same verdict from the invariant check; a map with
     no floating subtree (``whole``) must pass it."""
-    assert (tree.parent, tree.children) == as_lists(ref, tree.n)
+    assert (tree.parent, [list(kids) for kids in tree.children]) == as_lists(ref, tree.n)
     verdict = validate(tree, alive_ids)
     assert verdict == ref.validate(alive_ids)
     if whole:

@@ -5,6 +5,8 @@ import hashlib
 import json
 import math
 from dataclasses import astuple, replace
+from functools import reduce
+from operator import add
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,7 +26,8 @@ from least_sim import core
 from least_sim.cli import parse_config, sweep_phn
 from least_sim.simulator import METRICS_HEADER, metrics_csv
 
-from conftest import FIVE_POSITIONS, charge, checked, heirs_of, hosts_of, make_net, tally_add, tx_cost
+from conftest import (FIVE_POSITIONS, charge, checked, dying_configs, heirs_of, hosts_of, make_net,
+                      tally_add, tx_cost)
 from tree_reference import attached, nodes, parent_map, path_to_root, tree_of, validate
 from trace_oracle import steady_trace
 
@@ -345,21 +348,6 @@ def test_injected_network_must_match_config_n():
         Simulation(SimConfig(n=5), net=make_net(FIVE_POSITIONS[:3]))
 
 
-@st.composite
-def dying_configs(draw, max_n=10):
-    """Small fields on low batteries: sensors die sending setup messages, on
-    their steady-phase hops and, with reception priced, on receiving."""
-    return SimConfig(
-        n=draw(st.integers(1, max_n)), protocol=draw(st.sampled_from(["leach", "least"])),
-        seed=draw(st.integers(0, 999)),
-        area_w=draw(st.sampled_from([30.0, 100.0])), area_h=draw(st.sampled_from([30.0, 100.0])),
-        initial_energy=draw(st.sampled_from([2e-5, 2e-4, 1e-3])),
-        traffic_fraction=draw(st.sampled_from([0.0, 0.5, 1.0])),
-        energy=EnergyParams(rx_cost=draw(st.sampled_from([0.0, 1e-6, 2e-5]))),
-        max_rounds=80,
-    )
-
-
 @settings(max_examples=150, deadline=None)
 @given(dying_configs())
 def test_alive_list_agrees_with_energy_through_whole_runs(cfg):
@@ -387,6 +375,31 @@ def test_every_charged_record_passes_the_boundary_checks(cfg):
         sim.run_round()
         for m in checked(sim.last_outcome.messages):
             assert m.sender in ids and (m.receiver is None or m.receiver in ids)
+
+
+def slot_fold(net):
+    """The reference total: every slot of ``net.energy`` folded left from 0.0,
+    the base station's and the dead sensors' included."""
+    return reduce(add, net.energy, 0.0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(dying_configs(max_n=30), st.data())
+def test_total_energy_equals_the_fold_over_every_slot(cfg, data):
+    """``total_energy`` folds only the alive sensors, in id order; after every
+    round of whole runs it is the fold over every slot, bit for bit. Some
+    runs start with sensors that hold 0.0 or -0.0, dead from the start."""
+    net = None
+    if data.draw(st.booleans(), label="injected"):
+        energies = data.draw(st.lists(st.sampled_from([cfg.initial_energy, 0.0, -0.0]),
+                                      min_size=cfg.n, max_size=cfg.n), label="energies")
+        net = Network(place_nodes(cfg, RandomStream(cfg.seed)), cfg.bs_pos, energies)
+    sim = Simulation(cfg, net=net)
+    net = sim.net
+    assert net.total_energy().hex() == slot_fold(net).hex()
+    while net.alive_count() and sim.round < cfg.max_rounds:
+        m = sim.run_round()
+        assert m.total_energy.hex() == net.total_energy().hex() == slot_fold(net).hex()
 
 
 def test_round_requires_alive_nodes():

@@ -6,7 +6,8 @@ import copy
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import to_lines
+from conftest import dying_configs, to_lines
+from least_sim import Simulation
 from tree_reference import (
     DictRoutingTree,
     level,
@@ -182,7 +183,7 @@ def test_random_build_detach_reattach_stays_valid(data):
         # depth and child order, recomputed from parent walks and sorting
         assert t.max_depth() == max((level(t, v) for v in nodes(t)), default=0)
         for p in [0, *nodes(t)]:
-            assert t.children[p] == sorted(t.children[p]) == ref.children_of(p)
+            assert list(t.children[p]) == sorted(t.children[p]) == ref.children_of(p)
         for node in range(1, n + 1):
             assert level(t, node) == ref.level(node)
 
@@ -310,7 +311,7 @@ def outcome(call, *args):
 
 def assert_same_map(t, ref, n):
     assert parent_map(t) == ref.parent_map()
-    assert [t.children[i] for i in range(n + 1)] == [ref.children_of(i) for i in range(n + 1)]
+    assert [list(t.children[i]) for i in range(n + 1)] == [ref.children_of(i) for i in range(n + 1)]
     assert t.first_level() == ref.first_level()
     assert t.max_depth() == ref.max_depth()
     assert validate(t, range(1, n + 1)) == ref.validate(range(1, n + 1))
@@ -385,7 +386,7 @@ def test_pruned_equals_level_by_level_repair(data):
     alive = [False, *data.draw(st.lists(st.booleans(), min_size=n, max_size=n))]
     got, want = t.pruned(alive), reference_prune(ref, alive)
     assert parent_map(got) == want.parent_map()
-    assert [got.children[i] for i in range(n + 1)] == [want.children_of(i) for i in range(n + 1)]
+    assert [list(got.children[i]) for i in range(n + 1)] == [want.children_of(i) for i in range(n + 1)]
     assert parent_map(t) == ref.parent_map()  # the map pruned is left as it was
 
 
@@ -397,3 +398,70 @@ def test_pruned_keeps_a_floating_subtree_floating():
 
     assert parent_map(t.pruned(alive(1, 2, 3, 4))) == {1: 0, 4: 3}
     assert parent_map(t.pruned(alive(1, 2, 4, 5))) == {1: 0, 5: 0}
+
+
+# -- child entries: one shared leaf tuple, a fresh list per parent -------------
+
+def assert_entries(t, want, before=()):
+    """Each entry of ``t.children`` is ``()`` exactly where ``want`` (the
+    reference's child lists) is empty, and otherwise a list equal to it; no
+    list sits in two entries or in any of the ``children`` lists in
+    ``before``, and a leaf's entry takes no append."""
+    assert [list(kids) for kids in t.children] == want
+    assert [type(kids) is tuple for kids in t.children] == [not kids for kids in want]
+    ids = {id(kids) for kids in t.children if type(kids) is list}
+    assert len(ids) == sum(map(bool, want))
+    for entries in before:
+        assert ids.isdisjoint(id(kids) for kids in entries if type(kids) is list)
+    leaves = [kids for kids in t.children if type(kids) is tuple]
+    if leaves:
+        with pytest.raises(AttributeError):
+            leaves[0].append(0)
+
+
+def reference_children(ref, n):
+    return [ref.children_of(i) for i in range(n + 1)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_child_entries_share_only_the_leaf_tuple(data):
+    """A map built from a parent list, derived again after its parent list is
+    rewritten in place, and pruned: every leaf holds the one ``()``, and each
+    parent a list of its own that no other map or derive holds."""
+    n = data.draw(st.integers(min_value=1, max_value=12))
+    ref, placed = DictRoutingTree(n), [0]
+    for node in data.draw(st.permutations(range(1, n + 1))):
+        ref.attach(node, data.draw(st.sampled_from(placed)))
+        placed.append(node)
+    t = list_map(ref, n)
+    assert_entries(t, reference_children(ref, n))
+
+    alive = [False, *data.draw(st.lists(st.booleans(), min_size=n, max_size=n))]
+    got = t.pruned(alive)
+    assert_entries(got, reference_children(reference_prune(ref, alive), n), before=[t.children])
+
+    victim = data.draw(st.integers(min_value=1, max_value=n))  # rewrite: re-home the victim's subtree
+    for child in [*ref.detach_subtree_root(victim), victim]:
+        outcome(ref.attach, child, data.draw(st.integers(min_value=0, max_value=n)))
+    old = t.children  # the first derive's entries, kept alive for the id check
+    t.parent[:] = [ref.parent_of(i) for i in range(n + 1)]
+    t.derive_children()
+    assert_entries(t, reference_children(ref, n), before=[old, got.children])
+
+
+@settings(max_examples=150, deadline=None)
+@given(dying_configs(max_n=30))
+def test_child_entries_through_whole_runs(cfg):
+    """The maps of whole LEACH and LEAST runs, rebuilt, pruned and relocated
+    every round: entries as above against the lists read off each parent
+    list, and a round that derives shares no list with the round before."""
+    sim, last = Simulation(cfg), None
+    while sim.net.alive_count() and sim.round < cfg.max_rounds:
+        sim.run_round()
+        t, want = sim.tree, [[] for _ in range(cfg.n + 1)]
+        for child, p in parent_map(t).items():
+            want[p].append(child)
+        derived = last is not None and t.children is not last  # a stalled round keeps its map
+        assert_entries(t, want, before=[last] if derived else [])
+        last = t.children
