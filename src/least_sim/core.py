@@ -13,7 +13,7 @@ from array import array
 from bisect import bisect
 from dataclasses import dataclass
 from functools import reduce
-from itertools import chain, repeat
+from itertools import chain, islice, repeat
 from operator import add
 
 #: Reserved id of the base station, the root of every routing tree.
@@ -131,26 +131,49 @@ class NetworkStats:
 
 def network_stats(positions) -> NetworkStats:
     """Pairwise distance statistics over sensor ``(x, y)`` positions; the
-    base station is excluded."""
+    base station is excluded. The pair sum adds every pair's ``math.dist``
+    in row-major order. Each sensor's farthest distance, the largest of its
+    pairs' floats, comes from ``_farthest_by_x`` over the sensors sorted by
+    x, and their mean folds them in id order (README, "Determinism")."""
     pts = list(positions)
     m = len(pts)
     if m < 2:
         raise ValueError("network statistics need at least two sensors")
     if not finite_xy(pts):
         raise ValueError("network statistics need finite (x, y) positions")
-    dist = math.dist
-    pair_sum = 0.0
-    far = [0.0] * m
-    for i in range(m):
-        pi = pts[i]
-        for j in range(i + 1, m):
-            d = dist(pi, pts[j])
-            pair_sum += d
-            if d > far[i]:
-                far[i] = d
-            if d > far[j]:
-                far[j] = d
+    dist, pair_sum = math.dist, 0.0
+    for i, p in enumerate(pts, 1):
+        for q in islice(pts, i, None):
+            pair_sum += dist(p, q)
+    xs, ys = zip(*pts)  # by x alone: list and tuple points do not compare
+    by_x, y_lo, y_hi = sorted(range(m), key=xs.__getitem__), min(ys), max(ys)
+    far = [_farthest_by_x(p, pts, by_x, y_lo, y_hi)[0] for p in pts]
     return NetworkStats(d_bar=pair_sum / (m * (m - 1) / 2), d_bar_max=reduce(add, far, 0.0) / m)
+
+
+def _farthest_by_x(p, xy, by_x, y_lo, y_hi) -> tuple[float, int | None]:
+    """``(distance, id)`` of the id in ``by_x``, ids of ``xy`` sorted by x,
+    farthest from point ``p``; ``(0.0, None)`` if none lies beyond 0. Chunks
+    of isqrt(len) ids are read from both ends inward, at the end with the
+    larger x-gap, until ``hypot(x-gap, y-gap) * _SLACK``, which bounds every
+    distance left, is below the best (README, "Determinism", sixth shortcut)."""
+    dist, (x, y), step = math.dist, p, math.isqrt(len(by_x))  # looked up per call: a patch reaches it
+    y_gap, best, far, lo, hi = max(y - y_lo, y_hi - y), 0.0, None, 0, len(by_x)
+    while lo < hi:
+        gap_lo, gap_hi = x - xy[by_x[lo]][0], xy[by_x[hi - 1]][0] - x
+        if gap_lo >= gap_hi:
+            gap, ids = gap_lo, by_x[lo:min(lo + step, hi)]
+            lo += len(ids)
+        else:
+            gap, ids = gap_hi, by_x[max(hi - step, lo):hi]
+            hi -= len(ids)
+        if math.hypot(gap, y_gap) * _SLACK < best:
+            break
+        ds = list(map(dist, repeat(p), map(xy.__getitem__, ids)))
+        d = max(ds)
+        if d > best:
+            best, far = d, ids[ds.index(d)]
+    return best, far
 
 
 class _Row:
@@ -284,33 +307,19 @@ class Network:
 
         Cached per source: alive sets only shrink, so the farthest sensor
         stays the farthest while it lives, and the float is the same. A rescan
-        scans list rows, and over ``_Row``s walks the alive sensors by x from
-        both ends inward (README, "Determinism")."""
+        scans list rows, and over ``_Row``s reads the alive sensors by x with
+        ``_farthest_by_x``, which may cache another of several tied sensors
+        (README, "Determinism")."""
         row, far = self.rows[from_id], self._farthest[from_id]
-        if far is not None and self.energy[far] > 0:
+        if far is not None and self.energy[far] > 0.0:
             return row[far]
         if type(row) is list:
             best, far = self.farthest(from_id, self._alive_ids)
         else:
-            best, far = 0.0, None
-            xy, dist = self.xy, math.dist
             if self._by_x is None:
-                ys = [y for _, y in xy]
-                self._by_x = sorted(self._alive_ids, key=xy.__getitem__), min(ys), max(ys)
-            (by_x, y_lo, y_hi), p = self._by_x, xy[from_id]
-            x, y = p
-            y_gap, lo, hi = max(y - y_lo, y_hi - y), 0, len(by_x) - 1
-            while lo <= hi:
-                gap_lo, gap_hi = x - xy[by_x[lo]][0], xy[by_x[hi]][0] - x
-                if gap_lo >= gap_hi:
-                    i, gap, lo = by_x[lo], gap_lo, lo + 1
-                else:
-                    i, gap, hi = by_x[hi], gap_hi, hi - 1
-                if math.hypot(gap, y_gap) * _SLACK < best:
-                    break
-                d = dist(p, xy[i])
-                if d > best:
-                    best, far = d, i
+                ys = [y for _, y in self.xy]
+                self._by_x = sorted(self._alive_ids, key=self.xy.__getitem__), min(ys), max(ys)
+            best, far = _farthest_by_x(self.xy[from_id], self.xy, *self._by_x)
         self._farthest[from_id] = far
         return best
 

@@ -78,7 +78,7 @@ def _charge_log(net: Network, messages, params: EnergyParams, tally: EnergyTally
         for _, sender, d, packets, receiver in messages:
             if sender != BS_ID:
                 left = energy[sender]
-                if not left > 0:
+                if not left > 0.0:
                     continue
                 amount = eps * d * d * packets
                 if amount < left:

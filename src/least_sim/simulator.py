@@ -192,21 +192,22 @@ class Simulation:
         if not senders or packets == 0:
             return 0, 0
         eps, energy, rows = self.config.energy.epsilon_amp, self.net.energy, self.net.rows
+        each = float(packets)  # the float an int operand of a float product becomes
         parent = self.tree.parent  # read in place: the walk never changes the map
         hops = range(len(parent))  # more passes than any acyclic path has hops
         part, whole, delivered = self.steady.round, self.steady.total, 0  # stored even on an error
         try:
             for sender in senders:
-                if parent[sender] is None and energy[sender] > 0:
+                if parent[sender] is None and energy[sender] > 0.0:
                     raise ValueError(f"unknown node: {sender}")
                 fwd = sender
                 for _ in hops:
                     left = energy[fwd]
-                    if not left > 0:
+                    if not left > 0.0:
                         break  # a dead sender sends nothing; a dead forwarder drops it
                     nxt = parent[fwd]
                     d = rows[fwd][nxt]
-                    amount = eps * d * d * packets
+                    amount = eps * d * d * each
                     if amount < left:
                         energy[fwd] = left - amount
                         part, whole = part + amount, whole + amount
