@@ -1,28 +1,15 @@
-"""Deterministic simulator and analysis toolkit for tree-based WSN routing."""
+"""Deterministic simulator and analysis toolkit for tree-based WSN routing.
+
+The package root exports names that check their input, and plain records;
+the setup operations, ``RoutingTree``, ``SetupOutcome`` and ``place_nodes``
+trust theirs and are imported from their own modules."""
 
 __version__ = "0.1.0"
 
 from .core import Network, RandomStream, network_stats
 from .energy import EnergyParams, EnergyTally, apply_messages
-from .protocols import (
-    ProtocolParams,
-    ProtocolStallError,
-    SetupOutcome,
-    elect_heirs,
-    elect_host_nodes,
-    leach_setup,
-    least_setup,
-    relocate,
-)
-from .simulator import (
-    LifetimeSummary,
-    RoundMetrics,
-    SimConfig,
-    Simulation,
-    place_nodes,
-    run,
-)
-from .tree import RoutingTree
+from .protocols import ProtocolParams, ProtocolStallError
+from .simulator import LifetimeSummary, RoundMetrics, SimConfig, Simulation, run
 
 __all__ = [
     "EnergyParams",
@@ -33,17 +20,9 @@ __all__ = [
     "ProtocolStallError",
     "RandomStream",
     "RoundMetrics",
-    "RoutingTree",
-    "SetupOutcome",
     "SimConfig",
     "Simulation",
     "apply_messages",
-    "elect_heirs",
-    "elect_host_nodes",
-    "leach_setup",
-    "least_setup",
     "network_stats",
-    "place_nodes",
-    "relocate",
     "run",
 ]

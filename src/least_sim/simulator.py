@@ -126,11 +126,15 @@ class Simulation:
     """
 
     def __init__(self, config: SimConfig, net: Network | None = None, table=None):
+        if not isinstance(config, SimConfig):
+            raise ValueError(f"config must be a SimConfig: {config!r}")
         self.config = config
         self.stream = RandomStream(config.seed)
         if net is None:
             net = Network(place_nodes(config, self.stream), config.bs_pos,
                           [config.initial_energy] * config.n, table)
+        elif not isinstance(net, Network):
+            raise ValueError(f"net must be a Network: {net!r}")
         elif net.n != config.n:
             raise ValueError(f"the network has {net.n} sensors but the config has n = {config.n}")
         self.net = net

@@ -11,8 +11,9 @@ changed since gives the same parent list.
 import json
 from pathlib import Path
 
-from least_sim import Network, RandomStream, RoutingTree, SimConfig, Simulation
+from least_sim import Network, RandomStream, SimConfig, Simulation
 from least_sim.core import BS_ID
+from least_sim.tree import RoutingTree
 
 CHECKPOINT_DIR = Path(__file__).parent / "golden" / "checkpoints"
 

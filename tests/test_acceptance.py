@@ -25,16 +25,13 @@ from least_sim import (
     RandomStream,
     SimConfig,
     Simulation,
-    leach_setup,
-    least_setup,
     network_stats,
-    place_nodes,
     run,
 )
 from least_sim.cli import sweep_phn
 from least_sim.core import NetworkStats
-from least_sim.protocols import estimate_leach, estimate_least
-from least_sim.simulator import metrics_csv
+from least_sim.protocols import estimate_leach, estimate_least, leach_setup, least_setup
+from least_sim.simulator import metrics_csv, place_nodes
 
 from conftest import FIVE_POSITIONS, checked, heirs_of, hosts_of, make_net
 from tree_reference import parent_map, validate

@@ -11,16 +11,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from least_sim import (
-    Network,
-    RandomStream,
-    SimConfig,
-    Simulation,
-    network_stats,
-    place_nodes,
-)
+from least_sim import Network, RandomStream, SimConfig, Simulation, network_stats
 from least_sim import core
 from least_sim.core import bernoulli_bound, uniform_choice
+from least_sim.simulator import place_nodes
 from conftest import DeadNodeError, charge, make_net
 
 

@@ -20,9 +20,9 @@ from statistics import median
 
 import pytest
 
-from least_sim import RandomStream, place_nodes
+from least_sim import RandomStream
 from least_sim.cli import parse_config
-from least_sim.simulator import fmt_float
+from least_sim.simulator import fmt_float, place_nodes
 from test_golden import PROFILES
 
 ROOT = Path(__file__).parent.parent

@@ -3,16 +3,9 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from least_sim import (
-    EnergyParams,
-    EnergyTally,
-    ProtocolParams,
-    RandomStream,
-    apply_messages,
-    leach_setup,
-)
+from least_sim import EnergyParams, EnergyTally, ProtocolParams, RandomStream, apply_messages
 from least_sim.energy import _charge_log
-from least_sim.protocols import MESSAGE_KINDS
+from least_sim.protocols import MESSAGE_KINDS, leach_setup
 
 from conftest import DeadNodeError, charge, checked, make_net, tally_add, tx_cost
 

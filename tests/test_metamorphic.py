@@ -16,9 +16,12 @@ and meet their ties from the other side. Both runs are injected, so both
 streams start at the elections.
 
 ``network_stats`` obeys both: its pair sum scales exactly, and its farthest
-distances are maxima, whichever way the walk meets them.
+distances are maxima, whichever way the walk meets them. Scaling also holds
+for runs restored from the saved round checkpoints, deep in long runs, and
+for ``analyze``'s estimates, which price eps*d*d from those statistics.
 """
 
+import json
 from dataclasses import astuple, replace
 
 import pytest
@@ -32,8 +35,11 @@ from least_sim import (
     SimConfig,
     Simulation,
     network_stats,
-    place_nodes,
 )
+from least_sim.cli import cmd_analyze
+from least_sim.simulator import place_nodes
+
+from checkpoint import CHECKPOINT_DIR, CHECKPOINTS, restore
 
 
 def hexed(values) -> list:
@@ -75,6 +81,29 @@ def small_configs(draw):
 @given(small_configs(), st.integers(-8, 8).filter(bool))
 def test_power_of_two_scaling_leaves_every_run_bit_for_bit(config, k):
     assert run_state(scaled(config, k)) == run_state(config)
+
+
+def resumed_rounds(config: SimConfig, snap: dict) -> list:
+    """Each round's ``RoundMetrics`` (floats as ``float.hex``), stream state and
+    parent list, for 300 rounds of a run restored from ``snap``."""
+    sim = restore(config, snap)
+    return [(hexed(astuple(sim.run_round())), sim.stream._state, list(sim.tree.parent))
+            for _ in range(300)]
+
+
+@pytest.mark.parametrize("k", [-3, 5])
+@pytest.mark.parametrize("name", sorted(CHECKPOINTS))
+def test_power_of_two_scaling_leaves_a_run_from_each_checkpoint_bit_for_bit(name, k):
+    config, saved = CHECKPOINTS[name][0], json.loads((CHECKPOINT_DIR / f"{name}.json").read_text())
+    s = 2.0 ** k
+    moved = {**saved, "positions": [[(float.fromhex(c) * s).hex() for c in p] for p in saved["positions"]]}
+    assert resumed_rounds(scaled(config, k), moved) == resumed_rounds(config, saved)
+
+
+@pytest.mark.parametrize("k", [-8, -3, -1, 1, 2, 5, 8])
+def test_power_of_two_scaling_leaves_analyze_output_byte_for_byte(k):
+    config = SimConfig(n=60)
+    assert cmd_analyze(scaled(config, k), [1, 2, 3]) == cmd_analyze(config, [1, 2, 3])
 
 
 def mirrored_runs(config: SimConfig) -> tuple[list, list]:

@@ -6,23 +6,17 @@ import copy
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from least_sim import (
-    ProtocolParams,
-    ProtocolStallError,
-    RandomStream,
-    SimConfig,
-    Simulation,
-    elect_heirs,
-    elect_host_nodes,
-    leach_setup,
-    least_setup,
-    relocate,
-)
+from least_sim import ProtocolParams, ProtocolStallError, RandomStream, SimConfig, Simulation
 from least_sim.core import BS_ID, bernoulli_bound, uniform_choice
 from least_sim.protocols import (
     _run_election,
     check_message,
+    elect_heirs,
+    elect_host_nodes,
     election_threshold,
+    leach_setup,
+    least_setup,
+    relocate,
     rotation_eligible,
 )
 

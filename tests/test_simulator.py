@@ -4,6 +4,7 @@ import copy
 import hashlib
 import json
 import math
+import re
 from dataclasses import astuple, replace
 from functools import reduce
 from operator import add
@@ -16,15 +17,14 @@ from least_sim import (
     Network,
     ProtocolParams,
     RandomStream,
-    SetupOutcome,
     SimConfig,
     Simulation,
-    place_nodes,
     run,
 )
 from least_sim import core
 from least_sim.cli import parse_config, sweep_phn
-from least_sim.simulator import METRICS_HEADER, metrics_csv
+from least_sim.protocols import SetupOutcome
+from least_sim.simulator import METRICS_HEADER, metrics_csv, place_nodes
 
 from conftest import (FIVE_POSITIONS, charge, checked, dying_configs, heirs_of, hosts_of, make_net,
                       tally_add, tx_cost)
@@ -346,6 +346,19 @@ def test_injected_network_must_match_config_n():
     # at n = 5 a 3-sensor network would report 2 dead sensors while all live
     with pytest.raises(ValueError, match="3 sensors but the config has n = 5"):
         Simulation(SimConfig(n=5), net=make_net(FIVE_POSITIONS[:3]))
+
+
+@pytest.mark.parametrize("config", ["x", None, {"n": 5}, ProtocolParams()])
+def test_simulation_and_run_reject_a_config_that_is_not_a_simconfig(config):
+    for call in (Simulation, run):
+        with pytest.raises(ValueError, match=re.escape(f"config must be a SimConfig: {config!r}")):
+            call(config)
+
+
+@pytest.mark.parametrize("net", [object(), "x", FIVE_POSITIONS])
+def test_simulation_rejects_a_net_that_is_not_a_network(net):
+    with pytest.raises(ValueError, match=re.escape(f"net must be a Network: {net!r}")):
+        Simulation(SimConfig(n=5), net=net)
 
 
 @settings(max_examples=150, deadline=None)

@@ -14,7 +14,7 @@ from __future__ import annotations
 from bisect import insort
 from dataclasses import dataclass
 
-from least_sim import RoutingTree
+from least_sim.tree import RoutingTree
 
 BS_ID = 0
 
