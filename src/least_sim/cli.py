@@ -17,7 +17,6 @@ import sys
 from concurrent import futures
 from dataclasses import replace
 from functools import partial
-from operator import attrgetter
 from pathlib import Path
 from statistics import median
 
@@ -28,7 +27,6 @@ from .protocols import ProtocolParams, estimate_leach, estimate_least
 from .simulator import (
     PROTOCOLS,
     LifetimeSummary,
-    RoundMetrics,
     SimConfig,
     Simulation,
     fmt_float,
@@ -276,22 +274,17 @@ def cmd_simulate(config: SimConfig, seeds, protocols, out_dir) -> list[Path]:
     return written
 
 
-def median_by_round(series: list[list[RoundMetrics]], getter):
-    """Per-round medians across runs, padding finished runs with their final value."""
-    if not series:
-        return []
-    length = max(len(rows) for rows in series)
-    out = []
-    for idx in range(length):
-        vals = [getter(rows[idx] if idx < len(rows) else rows[-1]) for rows in series if rows]
-        out.append(median(vals))
-    return out
+def median_by_round(series) -> list:
+    """Per-round medians across runs' value sequences, padding finished runs with their final value."""
+    length = max(map(len, series), default=0)
+    return [median([vals[idx] if idx < len(vals) else vals[-1] for vals in series if vals])
+            for idx in range(length)]
 
 
 def compare_table(results, seeds) -> list[str]:
     """Per-round median deaths, then energy, of each protocol, as ``COMPARE_HEADER`` orders them."""
-    columns = [median_by_round([results[(p, s)][0] for s in seeds], attrgetter(field))
-               for field in ("dead_count", "total_energy") for p in PROTOCOLS]
+    columns = [median_by_round([results[(p, s)][0].columns[i] for s in seeds])
+               for i in (1, 2) for p in PROTOCOLS]  # dead_count, then total_energy
     lines = [COMPARE_HEADER]
     for idx in range(max(map(len, columns))):
         cells = (fmt_float(col[idx]) if idx < len(col) else "" for col in columns)

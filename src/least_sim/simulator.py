@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import math
 import sys
+from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .core import BS_ID, Network, RandomStream, check_span, finite_xy
@@ -101,6 +103,42 @@ class RoundMetrics:
     steady_energy: float
     first_level_width: int
     max_depth: int
+
+
+class RoundLog(Sequence):
+    """A run's ``RoundMetrics``, one typed array per field in field order:
+    64-bit ints and IEEE doubles, 56 B a round. Indexing or iterating rebuilds
+    the records and a slice is a list of them; ``run`` appends, callers only read.
+    Equal to a ``RoundLog`` with equal columns, or to a list of equal records."""
+
+    def __init__(self):
+        self.columns = tuple(array(code) for code in "qqdddqq")
+
+    def append(self, r: RoundMetrics) -> None:
+        rnd, dead, total, setup, steady, width, depth = self.columns
+        rnd.append(r.round)
+        dead.append(r.dead_count)
+        total.append(r.total_energy)
+        setup.append(r.setup_energy)
+        steady.append(r.steady_energy)
+        width.append(r.first_level_width)
+        depth.append(r.max_depth)
+
+    def __len__(self):
+        return len(self.columns[0])
+
+    def __iter__(self):
+        return map(RoundMetrics, *self.columns)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return list(map(RoundMetrics, *(c[index] for c in self.columns)))
+        return RoundMetrics(*(c[index] for c in self.columns))
+
+    def __eq__(self, other):
+        if isinstance(other, RoundLog):
+            return self.columns == other.columns
+        return list(self) == other if isinstance(other, list) else NotImplemented
 
 
 @dataclass(frozen=True)
@@ -251,27 +289,20 @@ class Simulation:
             self.half_life = self.round
         if dead == n:
             self.all_dead = self.round
-        return RoundMetrics(
-            round=self.round,
-            dead_count=dead,
-            total_energy=self.net.total_energy(),
-            setup_energy=self.setup.round,
-            steady_energy=self.steady.round,
-            first_level_width=width,
-            max_depth=depth,
-        )
+        return RoundMetrics(self.round, dead, self.net.total_energy(), self.setup.round,
+                            self.steady.round, width, depth)
 
-    def run(self) -> tuple[list[RoundMetrics], LifetimeSummary]:
+    def run(self) -> tuple[RoundLog, LifetimeSummary]:
         """Step to extinction or the round cap; the rows are this call's, the
         summary covers every round since construction."""
-        rows = []
+        rows = RoundLog()
         while self.net.alive_count() > 0 and self.round < self.config.max_rounds:
             rows.append(self.run_round())
         per_packet = self.steady.total / self.delivered_total if self.delivered_total else 0.0
         return rows, LifetimeSummary(self.first_death, self.half_life, self.all_dead, per_packet)
 
 
-def run(config: SimConfig) -> tuple[list[RoundMetrics], LifetimeSummary]:
+def run(config: SimConfig) -> tuple[RoundLog, LifetimeSummary]:
     """Run one simulation to extinction or the round cap."""
     return Simulation(config).run()
 
@@ -284,12 +315,7 @@ def fmt_float(x: float) -> str:
     return f"{x:.9g}"
 
 
-def metrics_csv(rows: list[RoundMetrics]) -> str:
-    lines = [METRICS_HEADER]
-    for r in rows:
-        lines.append(
-            f"{r.round},{r.dead_count},{fmt_float(r.total_energy)},"
-            f"{fmt_float(r.setup_energy)},{fmt_float(r.steady_energy)},"
-            f"{r.first_level_width},{r.max_depth}"
-        )
+def metrics_csv(rows: RoundLog) -> str:
+    """One line a round, read from the columns; the floats as ``fmt_float`` writes them."""
+    lines = [METRICS_HEADER, *map("{},{},{:.9g},{:.9g},{:.9g},{},{}".format, *rows.columns)]
     return "\n".join(lines) + "\n"

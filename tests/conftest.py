@@ -3,8 +3,9 @@ from collections import namedtuple
 import pytest
 from hypothesis import strategies as st
 
-from least_sim import EnergyParams, Network, SimConfig
+from least_sim import EnergyParams, Network, ProtocolParams, SimConfig
 from least_sim.protocols import HEIR_NOTIFY_PARENT, HN_ANNOUNCE_TO_BS, check_message
+from least_sim.simulator import METRICS_HEADER, fmt_float
 
 from tree_reference import parent_map
 
@@ -123,3 +124,32 @@ def dying_configs(draw, max_n=10):
         energy=EnergyParams(rx_cost=draw(st.sampled_from([0.0, 1e-6, 2e-5]))),
         max_rounds=80,
     )
+
+
+@st.composite
+def small_configs(draw):
+    """Small fields run through deaths to extinction or a short cap."""
+    return SimConfig(
+        n=draw(st.integers(1, 40)), protocol=draw(st.sampled_from(["leach", "least"])),
+        seed=draw(st.integers(0, 999)),
+        area_w=draw(st.sampled_from([30.0, 100.0, 150.0])), area_h=draw(st.sampled_from([30.0, 100.0])),
+        bs_pos=draw(st.sampled_from([(50.0, 50.0), (0.0, 0.0), (50.0, 175.0)])),
+        initial_energy=draw(st.sampled_from([2e-4, 1e-3, 5e-3])),
+        traffic_fraction=draw(st.sampled_from([0.0, 0.3, 0.5, 1.0])),
+        params=ProtocolParams(hn_window=draw(st.sampled_from([None, 0, 1, 3]))),
+        energy=EnergyParams(rx_cost=draw(st.sampled_from([0.0, 1e-6, 1e-5]))),
+        max_rounds=300,
+    )
+
+
+def reference_metrics_csv(records):
+    """The metrics CSV written record by record with ``fmt_float``: the
+    reference that ``metrics_csv``, which reads the columns, matches byte for byte."""
+    lines = [METRICS_HEADER]
+    for r in records:
+        lines.append(
+            f"{r.round},{r.dead_count},{fmt_float(r.total_energy)},"
+            f"{fmt_float(r.setup_energy)},{fmt_float(r.steady_energy)},"
+            f"{r.first_level_width},{r.max_depth}"
+        )
+    return "\n".join(lines) + "\n"

@@ -27,19 +27,12 @@ from dataclasses import astuple, replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from least_sim import (
-    EnergyParams,
-    Network,
-    ProtocolParams,
-    RandomStream,
-    SimConfig,
-    Simulation,
-    network_stats,
-)
+from least_sim import Network, RandomStream, SimConfig, Simulation, network_stats
 from least_sim.cli import cmd_analyze
 from least_sim.simulator import place_nodes
 
 from checkpoint import CHECKPOINT_DIR, CHECKPOINTS, restore
+from conftest import small_configs
 
 
 def hexed(values) -> list:
@@ -59,22 +52,6 @@ def scaled(config: SimConfig, k: int) -> SimConfig:
     (x, y), s = config.bs_pos, 2.0 ** k
     return replace(config, area_w=config.area_w * s, area_h=config.area_h * s, bs_pos=(x * s, y * s),
                    energy=replace(config.energy, epsilon_amp=config.energy.epsilon_amp * 4.0 ** -k))
-
-
-@st.composite
-def small_configs(draw):
-    """Small fields run through deaths to extinction or a short cap."""
-    return SimConfig(
-        n=draw(st.integers(1, 40)), protocol=draw(st.sampled_from(["leach", "least"])),
-        seed=draw(st.integers(0, 999)),
-        area_w=draw(st.sampled_from([30.0, 100.0, 150.0])), area_h=draw(st.sampled_from([30.0, 100.0])),
-        bs_pos=draw(st.sampled_from([(50.0, 50.0), (0.0, 0.0), (50.0, 175.0)])),
-        initial_energy=draw(st.sampled_from([2e-4, 1e-3, 5e-3])),
-        traffic_fraction=draw(st.sampled_from([0.0, 0.3, 0.5, 1.0])),
-        params=ProtocolParams(hn_window=draw(st.sampled_from([None, 0, 1, 3]))),
-        energy=EnergyParams(rx_cost=draw(st.sampled_from([0.0, 1e-6, 1e-5]))),
-        max_rounds=300,
-    )
 
 
 @settings(max_examples=200, deadline=None)

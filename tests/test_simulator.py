@@ -4,7 +4,9 @@ import copy
 import hashlib
 import json
 import math
+import pickle
 import re
+import sys
 from dataclasses import astuple, replace
 from functools import reduce
 from operator import add
@@ -24,10 +26,11 @@ from least_sim import (
 from least_sim import core
 from least_sim.cli import parse_config, sweep_phn
 from least_sim.protocols import SetupOutcome
-from least_sim.simulator import METRICS_HEADER, metrics_csv, place_nodes
+from least_sim.simulator import (METRICS_HEADER, PROTOCOLS, RoundLog, RoundMetrics, metrics_csv,
+                                 place_nodes)
 
 from conftest import (FIVE_POSITIONS, charge, checked, dying_configs, heirs_of, hosts_of, make_net,
-                      tally_add, tx_cost)
+                      reference_metrics_csv, small_configs, tally_add, tx_cost)
 from tree_reference import attached, nodes, parent_map, path_to_root, tree_of, validate
 from trace_oracle import steady_trace
 
@@ -499,7 +502,8 @@ def test_run_bounded_by_max_rounds():
 
 def test_run_all_dead_at_start():
     rows, summary = run(SimConfig(n=4, seed=1, initial_energy=0.0, max_rounds=5))
-    assert rows == []
+    assert rows == [] and len(rows) == 0 and list(rows) == [] and rows[:] == []
+    assert metrics_csv(rows) == METRICS_HEADER + "\n"
     assert summary.first_death_round == 0
     assert summary.half_life_round == 0
     assert summary.all_dead_round == 0
@@ -576,9 +580,9 @@ def test_lifetime_rounds_equal_a_scan_of_every_round_so_far(case, stepped):
         rows.append(sim.run_round())
         assert lifetime(sim) == scan_lifetime(cfg.n, rows, alive_at_start)
     rest, summary = sim.run()
-    assert lifetime(sim) == scan_lifetime(cfg.n, rows + rest, alive_at_start)
+    assert lifetime(sim) == scan_lifetime(cfg.n, rows + list(rest), alive_at_start)
     assert astuple(summary)[:3] == lifetime(sim)
-    assert (rows + rest, summary) == fresh().run()
+    assert (rows + list(rest), summary) == fresh().run()
 
 
 def test_run_monotone_metrics_and_conservation():
@@ -748,3 +752,89 @@ def test_metrics_csv_schema():
     first = lines[1].split(",")
     assert first[0] == "1"
     float(first[2])  # parsable floats
+
+
+# -- the round log ---------------------------------------------------------------
+
+def stepped_records(cfg):
+    """The records ``run_round`` returns, stepped as ``run`` steps a fresh run."""
+    sim, records = Simulation(cfg), []
+    while sim.net.alive_count() and sim.round < cfg.max_rounds:
+        records.append(sim.run_round())
+    return records
+
+
+def hexed(record):
+    return [v.hex() if isinstance(v, float) else v for v in astuple(record)]
+
+
+def log_of(records):
+    log = RoundLog()
+    for r in records:
+        log.append(r)
+    return log
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_configs() | dying_configs(), st.data())
+def test_round_log_reads_back_the_records_run_round_returned(cfg, data):
+    """A run's log holds every record bit for bit: iterated, indexed, sliced,
+    compared, pickled and written as CSV."""
+    records = stepped_records(cfg)
+    log = Simulation(cfg).run()[0]
+    assert isinstance(log, RoundLog) and len(log) == len(records)
+    assert list(log) == records
+    assert list(map(hexed, log)) == list(map(hexed, records))
+    assert log == records and records == log and not log != records
+    assert log == log_of(records) and not log != log_of(records)
+    shorter = records[:-1]
+    assert (log != shorter) == bool(records) and (log != log_of(shorter)) == bool(records)
+    copied = pickle.loads(pickle.dumps(log))
+    assert copied == log and list(map(hexed, copied)) == list(map(hexed, records))
+    assert metrics_csv(log) == reference_metrics_csv(records)
+    if records:
+        assert hexed(log[-1]) == hexed(records[-1])
+        i = data.draw(st.integers(-len(records), len(records) - 1))
+        assert hexed(log[i]) == hexed(records[i])
+    bounds = st.none() | st.integers(-len(records) - 2, len(records) + 2)
+    cut = slice(data.draw(bounds), data.draw(bounds), data.draw(st.none() | st.sampled_from([1, 2, -1, -3])))
+    assert isinstance(log[cut], list) and log[cut] == records[cut]
+
+
+def test_round_log_keeps_exact_doubles_and_64_bit_ints():
+    """Negative zero, the subnormals, the extremes and NaN come back as the same bits."""
+    records = [
+        RoundMetrics(2**63 - 1, -2**63, -0.0, 5e-324, float("inf"), 0, 1),
+        RoundMetrics(1, 0, 0.1, sys.float_info.max, -0.0, 2**40, 3),
+        RoundMetrics(2, 1, float("nan"), 2.2250738585072014e-308, 1e-300, 7, 2),
+    ]
+    log = log_of(records)
+    assert list(map(hexed, log)) == list(map(hexed, records))
+    assert metrics_csv(log) == reference_metrics_csv(records)
+    with pytest.raises(IndexError):
+        log[3]
+
+
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+def test_run_steps_through_run_round_once_per_row(monkeypatch, protocol):
+    """``run`` calls ``Simulation.run_round`` as looked up on the class, once
+    per row it returns, so a wrapper there (as the bench traces it) sees every round."""
+    real, seen = Simulation.run_round, []
+
+    def counted(self):
+        seen.append(self.round + 1)
+        return real(self)
+
+    monkeypatch.setattr(Simulation, "run_round", counted)
+    rows, summary = run(SimConfig(n=20, seed=5, initial_energy=0.005, protocol=protocol, max_rounds=400))
+    assert summary.all_dead_round is not None
+    assert seen == [r.round for r in rows] == list(range(1, len(rows) + 1))
+
+
+def test_round_log_costs_at_most_64_bytes_a_round():
+    """A 3,000-round run on the reference field with control traffic only
+    (the bench's lifetime profile) keeps its columns within 64 B a round;
+    the arrays' own size, so the bound does not depend on the machine's load."""
+    log = run(SimConfig(traffic_fraction=0.0, max_rounds=3000))[0]
+    assert len(log) == 3000
+    assert sum(sys.getsizeof(c) for c in log.columns) / len(log) <= 64
