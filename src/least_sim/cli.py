@@ -185,15 +185,13 @@ def _fan_out(fn, items) -> list:
 
 
 def _run_placement(configs, finish=None) -> list:
-    """Run configs of one seed in turn; later runs reuse the first one's ``(xy, rows)``.
+    """Run configs of one seed in turn; each run's ``Network`` reuses the previous one's rows.
 
     A run's result is ``sim.run()``, or ``finish(sim)`` when given."""
-    out, table = [], None
+    out, sim = [], None
     for config in configs:
-        sim = Simulation(config, table=table)
-        table = sim.net.xy, sim.net.rows
+        sim = Simulation(config, table=None if sim is None else sim.net)
         out.append(sim.run() if finish is None else finish(sim))
-        del sim  # between runs hold only the pair, not the finished run
     return out
 
 

@@ -205,11 +205,11 @@ class Network:
     ``math.dist`` when read, and memory grows as n (README, "Determinism").
     The searches scan list rows; over ``_Row``s they walk the points by x.
     ``xy`` holds the points by id and ``rows[a][b]`` is the distance between
-    ids a and b. An earlier network's ``(xy, rows)``, passed as ``table``, is
-    reused when the points are equal: the rows are never written.
+    ids a and b. ``table``, an earlier ``Network`` or None, lends its ``xy``
+    and ``rows`` when its points are equal: the rows are never written.
     """
 
-    def __init__(self, positions, bs_pos: tuple, energies, table: tuple | None = None):
+    def __init__(self, positions, bs_pos: tuple, energies, table: Network | None = None):
         if len(positions) != len(energies):
             raise ValueError(f"{len(positions)} positions but {len(energies)} energies")
         xy = [bs_pos, *positions]
@@ -218,11 +218,14 @@ class Network:
         if not all(map(math.isfinite, energies)) or min(energies, default=0.0) < 0:
             raise ValueError("initial energies must be finite and >= 0")
         self.n = n = len(positions)
-        if table is None or table[0] != xy:
+        if not isinstance(table, Network | None):
+            raise ValueError(f"table must be an earlier Network or None, not {type(table).__name__}")
+        if table is not None and table.xy == xy:
+            self.xy, self.rows = table.xy, table.rows
+        else:
             check_span(xy, "sensor coordinates")
-            table = (xy, [list(map(math.dist, repeat(p), xy)) if n <= _TABLE_MAX
-                          else _Row(p, xy) for p in xy])
-        self.xy, self.rows = table
+            self.xy, self.rows = xy, [list(map(math.dist, repeat(p), xy)) if n <= _TABLE_MAX
+                                      else _Row(p, xy) for p in xy]
         self.energy = [0.0, *energies]
         self.last_ch: list = [None] * (n + 1)
         self.last_hn: list = [None] * (n + 1)

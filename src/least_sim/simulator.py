@@ -160,10 +160,10 @@ class Simulation:
 
     ``net`` may be injected for fixture-based tests, in which case the
     placement draws are skipped and the stream starts at the elections.
-    Otherwise the placement's ``Network`` reuses ``table``, an earlier ``(xy, rows)``, when it fits.
+    Otherwise the placement's ``Network`` takes the rows of ``table``, an earlier ``Network``, if equal.
     """
 
-    def __init__(self, config: SimConfig, net: Network | None = None, table=None):
+    def __init__(self, config: SimConfig, net: Network | None = None, table: Network | None = None):
         if not isinstance(config, SimConfig):
             raise ValueError(f"config must be a SimConfig: {config!r}")
         self.config = config
@@ -171,6 +171,8 @@ class Simulation:
         if net is None:
             net = Network(place_nodes(config, self.stream), config.bs_pos,
                           [config.initial_energy] * config.n, table)
+        elif table is not None:
+            raise ValueError("net and table cannot both be given: net brings its own rows")
         elif not isinstance(net, Network):
             raise ValueError(f"net must be a Network: {net!r}")
         elif net.n != config.n:

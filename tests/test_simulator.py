@@ -627,11 +627,11 @@ def test_run_byte_identical_per_seed():
 def test_table_shared_only_for_equal_positions():
     ones = [1.0] * len(FIVE_POSITIONS)
     a = Network(FIVE_POSITIONS, (50.0, 50.0), ones)
-    b = Network(FIVE_POSITIONS, (50.0, 50.0), ones, (a.xy, a.rows))
+    b = Network(FIVE_POSITIONS, (50.0, 50.0), ones, a)
     assert b.rows is a.rows and b.xy is a.xy
     moved = FIVE_POSITIONS[:-1] + [(55.0, 45.5)]
     for positions, bs in ((moved, (50.0, 50.0)), (FIVE_POSITIONS, (0.0, 50.0))):
-        net = Network(positions, bs, ones, (a.xy, a.rows))
+        net = Network(positions, bs, ones, a)
         fresh = Network(positions, bs, ones)
         assert net.rows is not a.rows and net.rows == fresh.rows
 
@@ -642,26 +642,73 @@ def test_table_reused_across_runs_of_one_placement():
     first.run()
     assert first.net.alive_count() < cfg.n  # the run killed sensors
     assert first.net.rows == Simulation(cfg).net.rows  # and left the table as built
-    second = Simulation(replace(cfg, protocol="leach"), table=(first.net.xy, first.net.rows))
+    second = Simulation(replace(cfg, protocol="leach"), table=first.net)
     assert second.net.rows is first.net.rows
     assert second.net.alive_count() == cfg.n  # per-run state is never shared
-    assert second.net._farthest is not first.net._farthest
+    for name in ("energy", "last_ch", "last_hn", "_alive_ids", "_farthest"):
+        assert getattr(second.net, name) is not getattr(first.net, name), name
     assert second.run() == Simulation(replace(cfg, protocol="leach")).run()
     for other in (replace(cfg, seed=4), replace(cfg, bs_pos=(0.0, 0.0))):
-        sim = Simulation(other, table=(first.net.xy, first.net.rows))
+        sim = Simulation(other, table=first.net)
         assert sim.net.rows is not first.net.rows
         assert sim.net.rows == Simulation(other).net.rows
 
 
+def test_runs_of_one_seed_share_the_first_runs_rows(monkeypatch):
+    from least_sim import cli
+
+    nets = []
+
+    class RecordingSimulation(Simulation):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            nets.append(self.net)
+
+    monkeypatch.setattr(cli, "Simulation", RecordingSimulation)
+    base = SimConfig(n=12, seed=3, initial_energy=0.002, max_rounds=50)
+    cli._run_placement([replace(base, protocol=p) for p in ("leach", "least", "leach")])
+    assert len(nets) == 3 and all(net.rows is nets[0].rows for net in nets)
+    assert len({id(net.energy) for net in nets}) == 3
+
+
+# an (xy, rows) pair whose points are those of Network([(1.0, 1.0)], (0.0, 0.0), ...)
+# but whose rows put the two 1.414 apart at 5.0
+FORGED = ([(0.0, 0.0), (1.0, 1.0)], [[0.0, 5.0], [5.0, 0.0]])
+
+
+@pytest.mark.parametrize("table", [FORGED, list(FORGED), FORGED[1], "x"],
+                         ids=["pair", "list", "rows", "str"])
+def test_network_takes_rows_only_from_an_earlier_network(table):
+    with pytest.raises(ValueError, match="table must be an earlier Network or None, not "):
+        Network([(1.0, 1.0)], (0.0, 0.0), [1.0], table)
+
+
+def test_simulation_takes_rows_only_from_an_earlier_network():
+    cfg = SimConfig(n=3)
+    net = Simulation(cfg).net
+    zero_rows = [[0.0] * 4 for _ in range(4)]  # would price every hop at distance 0
+    for table in ((net.xy, zero_rows), (net.xy, net.rows), [net.xy, net.rows]):
+        with pytest.raises(ValueError, match="table must be an earlier Network or None, not "):
+            Simulation(cfg, table=table)
+
+
+def test_simulation_rejects_net_and_table_together():
+    net = make_net(FIVE_POSITIONS)
+    for table in (net, make_net(FIVE_POSITIONS), FORGED):
+        with pytest.raises(ValueError, match="net and table cannot both be given"):
+            Simulation(SimConfig(n=5), net=net, table=table)
+
+
 @pytest.mark.parametrize("protocol", ["leach", "least"])
-def test_run_above_the_table_size_equals_a_table_run(protocol):
+def test_run_above_the_table_size_equals_a_table_run(protocol, monkeypatch):
     """One sensor above ``core._TABLE_MAX`` a run computes its distances on
-    demand; handed the full table of the same placement, it is the same run."""
+    demand; with the table size raised to n, the same placement's run builds
+    a table and is the same run."""
     cfg = SimConfig(n=core._TABLE_MAX + 1, seed=6, initial_energy=0.001,
                     traffic_fraction=0.5, protocol=protocol, max_rounds=20)
     on_demand = Simulation(cfg)
-    xy = on_demand.net.xy
-    table = Simulation(cfg, table=(xy, [[math.dist(p, q) for q in xy] for p in xy]))
+    monkeypatch.setattr(core, "_TABLE_MAX", cfg.n)
+    table = Simulation(cfg)
     assert type(on_demand.net.rows[0]) is not list and type(table.net.rows[0]) is list
     assert on_demand.run() == table.run()
     assert on_demand.net.alive_count() < cfg.n  # sensors died, so rescans ran
